@@ -93,6 +93,48 @@ std::uint64_t to_ns(std::chrono::steady_clock::duration d) {
         std::chrono::duration_cast<std::chrono::nanoseconds>(d).count());
 }
 
+/// How long a thread that ran out of work spins before it parks on cv_.
+/// One park plus the publisher's futex wake costs a few tens of µs end
+/// to end, so a wait that resolves within about one such round trip is
+/// cheaper spun than slept; past that, the thread releases the CPU.
+constexpr std::chrono::microseconds spin_before_park{50};
+
+/// Spin-wait hint: lets the sibling hyperthread run and saves power.
+inline void cpu_relax() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    asm volatile("yield" ::: "memory");
+#endif
+}
+
+/// Spin until done() holds or spin_before_park has elapsed; true when
+/// done() held. The second half of the budget yields the core on every
+/// round, so on an oversubscribed host (more pool threads than cores,
+/// ctest -j) the spinner does not starve the thread doing the work.
+template <typename Done>
+bool spin_until(const Done& done) {
+    using clock = std::chrono::steady_clock;
+    const auto start = clock::now();
+    const auto tail = start + spin_before_park / 2;
+    const auto deadline = start + spin_before_park;
+    for (;;) {
+        for (int i = 0; i < 16; ++i) {
+            if (done()) {
+                return true;
+            }
+            cpu_relax();
+        }
+        const auto now = clock::now();
+        if (now >= deadline) {
+            return done();
+        }
+        if (now >= tail) {
+            std::this_thread::yield();
+        }
+    }
+}
+
 }  // namespace
 
 SchedMode sched_mode_from_env() {
@@ -152,10 +194,9 @@ ThreadPool::~ThreadPool() {
             run_task(node->fn, 0);
             delete node;
         }
-        // Range tasks cannot legitimately outlive their (stack-held,
-        // joined) job; free any stragglers without touching the job.
-        while (RangeTask* r = slots_[s].ranges.pop()) {
-            delete r;
+        // Range records live in their (stack-held, joined) job and
+        // cannot legitimately outlive it; drop any stragglers unread.
+        while (slots_[s].ranges.pop() != nullptr) {
         }
     }
     if (is_global_source_) {
@@ -196,6 +237,9 @@ size_type ThreadPool::check_range(size_type begin, size_type end) {
 
 void ThreadPool::publish_wake() {
     wake_epoch_.fetch_add(1, std::memory_order_seq_cst);
+    // A thread still in its spin phase is not in sleepers_: it watches
+    // the epoch directly, so the bump above is all it needs and the
+    // common publish (every waiter spinning) costs no syscall.
     // Dekker-style handshake with park()/join_job(): a sleeper first
     // increments sleepers_ (seq_cst), then re-reads the epoch before
     // blocking. If we read sleepers_ == 0 here, the sleeper's increment
@@ -251,15 +295,18 @@ void ThreadPool::run_range(StealJob& job, size_type lo, size_type hi,
             // the job origin, which keeps every executed chunk on the
             // same {origin + m*grain} boundaries as the sharing pool's
             // fetch_add decomposition -- the determinism invariant.
-            const size_type nchunks = (hi - lo + grain - 1) / grain;
-            const size_type mid = lo + (nchunks / 2) * grain;
-            slots_[slot].ranges.push(new RangeTask{&job, mid, hi});
-            if (stats) {
-                splits_.fetch_add(1, std::memory_order_relaxed);
+            if (RangeTask* split = job.take_split_record()) {
+                const size_type nchunks = (hi - lo + grain - 1) / grain;
+                const size_type mid = lo + (nchunks / 2) * grain;
+                *split = RangeTask{&job, mid, hi};
+                slots_[slot].ranges.push(split);
+                if (stats) {
+                    splits_.fetch_add(1, std::memory_order_relaxed);
+                }
+                publish_wake();
+                hi = mid;
+                continue;
             }
-            publish_wake();
-            hi = mid;
-            continue;
         }
         const size_type chunk_hi = std::min(lo + grain, hi);
         for (size_type k = lo; k < chunk_hi; ++k) {
@@ -289,13 +336,9 @@ void ThreadPool::run_range(StealJob& job, size_type lo, size_type hi,
     }
 }
 
-void ThreadPool::execute_range(RangeTask* task, std::size_t slot,
+void ThreadPool::execute_range(const RangeTask* task, std::size_t slot,
                                std::size_t stat_slot) {
-    StealJob* job = task->job;
-    const size_type lo = task->lo;
-    const size_type hi = task->hi;
-    delete task;
-    run_range(*job, lo, hi, slot, stat_slot);
+    run_range(*task->job, task->lo, task->hi, slot, stat_slot);
 }
 
 bool ThreadPool::run_one_own_range(std::size_t slot,
@@ -406,10 +449,15 @@ void ThreadPool::join_job(StealJob& job, std::size_t slot,
         }
         // Clean all-empty sweep: the unfinished iterations are inside
         // other threads' run_range calls. They will either split (epoch
-        // bump) or retire the last iteration (epoch bump), so sleeping
-        // on the epoch cannot miss the completion.
-        if (job.remaining.load(std::memory_order_acquire) == 0) {
-            return;
+        // bump) or retire the last iteration (epoch bump), so waiting
+        // on the epoch cannot miss the completion. The chunks in flight
+        // are usually a few µs from done: spin first, park only if
+        // they are not.
+        if (spin_until([&] {
+                return job.remaining.load(std::memory_order_acquire) == 0 ||
+                       wake_epoch_.load(std::memory_order_acquire) != e0;
+            })) {
+            continue;
         }
         sleepers_.fetch_add(1, std::memory_order_seq_cst);
         {
@@ -696,6 +744,18 @@ void ThreadPool::worker_loop(std::size_t stat_slot) {
         if (progress || contended) {
             continue;
         }
+        // Clean empty sweep. In a solver loop the next kernel is
+        // usually published within µs: spin on the epoch first, and
+        // park only when nothing arrives within spin_before_park.
+        if (spin_until([&] {
+                return wake_epoch_.load(std::memory_order_acquire) != e0 ||
+                       shutdown_flag_.load(std::memory_order_acquire);
+            })) {
+            if (pool_stats_on()) {
+                spin_wakes_.fetch_add(1, std::memory_order_relaxed);
+            }
+            continue;
+        }
         if (!park(e0)) {
             return;
         }
@@ -790,6 +850,8 @@ obs::PoolTelemetry ThreadPool::telemetry() const {
         static_cast<size_type>(splits_.load(std::memory_order_relaxed));
     t.parks =
         static_cast<size_type>(parks_.load(std::memory_order_relaxed));
+    t.spin_wakes = static_cast<size_type>(
+        spin_wakes_.load(std::memory_order_relaxed));
     const auto disp = dispatches_.load(std::memory_order_relaxed);
     t.mean_imbalance =
         disp > 0 ? static_cast<double>(imbalance_sum_permille_.load(

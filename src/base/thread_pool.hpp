@@ -41,10 +41,16 @@
 //    one relaxed stat update -- nested inline runs are accounted to the
 //    executing participant's slot so vbatch_prof sees nested work).
 //  - The callable is passed by FunctionRef, so no std::function is ever
-//    constructed.
+//    constructed, and lazy splits use records inside the job frame, so a
+//    dispatched parallel_for never touches the heap either.
+//  - A thread that runs out of work (an idle worker, or a joiner whose
+//    remaining chunks run elsewhere) spins for a bounded few tens of µs
+//    before it parks, so back-to-back kernels of a few µs each do not
+//    pay a futex park + wake per call.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -192,6 +198,13 @@ public:
     /// includes per-worker deque contents in stealing mode).
     size_type queued_tasks() const;
 
+    /// Threads currently blocked on the pool's condition variable, i.e.
+    /// past their spin phase (diagnostics: an idle pool must drop to
+    /// size() - 1 parked workers shortly after its last job).
+    size_type parked_threads() const noexcept {
+        return sleepers_.load(std::memory_order_relaxed);
+    }
+
     /// The process-wide default pool. Sized by the VBATCH_THREADS
     /// environment variable when set to a positive integer, else to the
     /// hardware; scheduled per VBATCH_SCHED. Results of every vbatch
@@ -240,27 +253,48 @@ private:
     };
 
     // -- stealing structures ------------------------------------------
+    struct StealJob;
+
+    /// A stealable half-open range [lo, hi) of `job` (job-relative
+    /// indices). Lives in the job's split records, so publishing a range
+    /// never allocates.
+    struct RangeTask {
+        StealJob* job = nullptr;
+        size_type lo = 0;
+        size_type hi = 0;
+    };
+
+    /// Split records per job. Each lazy split exposes a distinct
+    /// grain-aligned start, so a job of c chunks needs at most c - 1;
+    /// splits only happen when a participant's deque has drained, so a
+    /// job on a few dozen threads stays far below this. A job that does
+    /// run out stops splitting and finishes the ranges it holds serially
+    /// -- the chunk decomposition, and so the bits, are unchanged.
+    static constexpr std::size_t max_splits_per_job = 128;
+
     /// One parallel_for in flight: lives on the root caller's stack for
     /// the duration of the (blocking) call, so range subtasks may refer
     /// to it by pointer. `remaining` counts not-yet-executed iterations;
     /// the thread that retires the last iteration publishes a pool-wide
-    /// wake so the root's join can return.
+    /// wake so the root's join can return. A published range always holds
+    /// unretired iterations, so the job (and its split records) outlive
+    /// every range a thread can claim.
     struct StealJob {
         StealJob(FunctionRef<void(size_type)> b, size_type begin_,
                  size_type grain_, size_type n)
             : body(b), begin(begin_), grain(grain_), remaining(n) {}
+        /// Next free split record, or nullptr once all are taken.
+        RangeTask* take_split_record() noexcept {
+            const std::size_t i =
+                used_splits.fetch_add(1, std::memory_order_relaxed);
+            return i < max_splits_per_job ? &split_records[i] : nullptr;
+        }
         const FunctionRef<void(size_type)> body;
         const size_type begin;
         const size_type grain;
         std::atomic<size_type> remaining;
-    };
-
-    /// A stealable half-open range [lo, hi) of `job` (job-relative
-    /// indices). Heap-allocated at split time, freed by the executor.
-    struct RangeTask {
-        StealJob* job;
-        size_type lo;
-        size_type hi;
+        std::atomic<std::size_t> used_splits{0};
+        std::array<RangeTask, max_splits_per_job> split_records;
     };
 
     /// A fire-and-forget task node (owning; freed by the executor).
@@ -301,7 +335,7 @@ private:
     // -- stealing engine (thread_pool.cpp) ----------------------------
     void run_range(StealJob& job, size_type lo, size_type hi,
                    std::size_t slot, std::size_t stat_slot);
-    void execute_range(RangeTask* task, std::size_t slot,
+    void execute_range(const RangeTask* task, std::size_t slot,
                        std::size_t stat_slot);
     void join_job(StealJob& job, std::size_t slot, std::size_t stat_slot);
     bool run_one_own_range(std::size_t slot, std::size_t stat_slot);
@@ -348,6 +382,7 @@ private:
     std::atomic<std::uint64_t> steal_fails_{0};
     std::atomic<std::uint64_t> splits_{0};
     std::atomic<std::uint64_t> parks_{0};
+    std::atomic<std::uint64_t> spin_wakes_{0};
     std::atomic<std::uint64_t> imbalance_sum_permille_{0};
     std::atomic<std::uint64_t> imbalance_last_permille_{0};
     std::chrono::steady_clock::time_point epoch_;

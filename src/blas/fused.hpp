@@ -20,6 +20,7 @@
 // separate blas::dot calls.
 #pragma once
 
+#include <array>
 #include <cmath>
 #include <span>
 #include <utility>
@@ -263,8 +264,16 @@ void multi_dot(const T* basis, size_type n, index_type cols, const T* x,
         return;
     }
     // parts[c * k + col]: chunk c's partial of column col. Combined per
-    // column in ascending chunk order -- the canonical dot order.
-    std::vector<T> parts(nc * k);
+    // column in ascending chunk order -- the canonical dot order. Solver
+    // sizes fit the stack buffer, so a Krylov iteration never allocates.
+    constexpr std::size_t stack_parts = 256;
+    std::array<T, stack_parts> stack{};
+    std::vector<T> heap;
+    T* parts = stack.data();
+    if (nc * k > stack_parts) {
+        heap.resize(nc * k);
+        parts = heap.data();
+    }
     ThreadPool::global().parallel_for(
         0, static_cast<size_type>(nc),
         [&](size_type c) {

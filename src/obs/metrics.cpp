@@ -271,6 +271,8 @@ void write_pool_members(JsonWriter& json, const PoolTelemetry& pool) {
     json.value(static_cast<std::uint64_t>(pool.splits));
     json.key("parks");
     json.value(static_cast<std::uint64_t>(pool.parks));
+    json.key("spin_wakes");
+    json.value(static_cast<std::uint64_t>(pool.spin_wakes));
     json.key("mean_imbalance");
     json.value(pool.mean_imbalance);
     json.key("last_imbalance");

@@ -93,7 +93,11 @@ struct PoolTelemetry {
     size_type steals = 0;       ///< range/task steals that succeeded
     size_type steal_fails = 0;  ///< steal attempts losing a CAS race
     size_type splits = 0;       ///< lazy binary half-range splits
-    size_type parks = 0;        ///< times a thread slept for lack of work
+    /// Idle-worker waits: a worker that swept every queue empty spins
+    /// for a bounded time, then parks. spin_wakes counts the waits new
+    /// work ended during the spin; parks counts those that slept.
+    size_type parks = 0;
+    size_type spin_wakes = 0;
     /// Chunk imbalance of a dispatched job: (max iterations claimed by
     /// one participant) / (fair share). 1.0 = perfectly balanced.
     double mean_imbalance = 0.0;

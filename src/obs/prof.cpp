@@ -116,6 +116,14 @@ void render_pool(std::string& out, const JsonValue& doc) {
                 static_cast<unsigned long>(member_num(*pool, "splits")),
                 static_cast<unsigned long>(member_num(*pool, "parks")));
     }
+    // Idle waits the spin phase resolved without parking (absent from
+    // artifacts that predate the spin phase).
+    if (pool->find("spin_wakes") != nullptr) {
+        appendf(out, "  idle waits: %lu spin wakes / %lu parks\n",
+                static_cast<unsigned long>(
+                    member_num(*pool, "spin_wakes")),
+                static_cast<unsigned long>(member_num(*pool, "parks")));
+    }
     if (was_armed) {
         appendf(out,
                 "  utilization %5.1f%%  busy %.3fs  idle %.3fs  "

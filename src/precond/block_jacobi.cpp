@@ -95,6 +95,7 @@ BlockJacobiSymbolicPtr build_block_jacobi_symbolic(
         }
         sym->isa = isa;
         sym->lanes = core::simd_lanes<T>(isa);
+        sym->lane_path = true;
         const auto plan =
             blocking::build_size_class_plan(*sym->layout, sym->lanes);
         sym->groups.reserve(plan.vector_groups.size());
@@ -122,9 +123,7 @@ BlockJacobiSymbolicPtr build_block_jacobi_symbolic(
     // Scalar-path blocks (all blocks for the non-lane backends) run in
     // ranges of batch_entry_grain -- task units of a weight comparable
     // to one SIMD chunk, matching the grain the batch drivers used.
-    const auto nscalar =
-        sym->lanes > 1 ? static_cast<size_type>(sym->scalar_blocks.size())
-                       : sym->layout->count();
+    const size_type nscalar = sym->scalar_count();
     for (size_type lo = 0; lo < nscalar; lo += batch_entry_grain) {
         sym->tasks.push_back({BlockJacobiSymbolic::no_group, 0, lo,
                               std::min(lo + batch_entry_grain, nscalar)});
@@ -149,12 +148,13 @@ void BlockJacobi<T>::validate_symbolic(const sparse::Csr<T>& a) const {
         if (!core::simd_isa_available(isa)) {
             isa = core::detect_simd_isa();
         }
-        VBATCH_ENSURE(sym_->lanes == core::simd_lanes<T>(isa) &&
+        VBATCH_ENSURE(sym_->lane_path &&
+                          sym_->lanes == core::simd_lanes<T>(isa) &&
                           sym_->isa == isa,
                       "block-Jacobi setup: shared symbolic was built for a "
                       "different ISA or lane width");
     } else {
-        VBATCH_ENSURE(sym_->lanes == 1,
+        VBATCH_ENSURE(!sym_->lane_path,
                       "block-Jacobi setup: scalar-path backend handed a "
                       "lane-interleaved symbolic");
     }
@@ -449,13 +449,13 @@ void BlockJacobi<T>::run_numeric(const sparse::Csr<T>& a) {
                 std::min(lo + scalar_stats_batch, task.hi);
             Timer tg;
             for (size_type i = lo; i < hi; ++i) {
-                const auto b = scalar_block(i);
+                const auto b = sym_->scalar_block(i);
                 sym_->plan.gather_block(values, b, factors_.view(b));
             }
             gsec += tg.seconds();
             Timer tf;
             for (size_type i = lo; i < hi; ++i) {
-                const auto b = scalar_block(i);
+                const auto b = sym_->scalar_block(i);
                 core::FactorInfo* info =
                     monitor
                         ? &status.block_info[static_cast<std::size_t>(b)]

@@ -59,13 +59,18 @@ struct BlockJacobiSymbolic {
     blocking::GatherPlan plan;
     /// ISA the lane-path groups were built for; scalar when lanes == 1.
     core::SimdIsa isa = core::SimdIsa::scalar;
-    /// Matrices per vector instruction. 1 = scalar path only (shared by
-    /// every non-lane backend of the same T-independent task split).
+    /// Matrices per vector instruction (1 on the scalar ISA and for every
+    /// non-lane backend).
     index_type lanes = 1;
+    /// Built for the lu_simd backend: blocks are owned by the groups'
+    /// chunk tasks plus the scalar_blocks leftovers. False = every block
+    /// takes the scalar path. Not implied by lanes: lu_simd on the
+    /// scalar ISA builds 1-lane groups.
+    bool lane_path = false;
     /// The agglomeration bound the layout was derived under.
     index_type max_block_size = 0;
 
-    /// One same-size class of the lane path (empty when lanes == 1).
+    /// One same-size class of the lane path (empty unless lane_path).
     struct Group {
         index_type size = 0;
         /// Block ids assigned to the lanes, in lane order.
@@ -80,6 +85,15 @@ struct BlockJacobiSymbolic {
     std::vector<Group> groups;
     /// Ragged leftovers taking the scalar path (lane path only).
     std::vector<size_type> scalar_blocks;
+    /// i-th block of the scalar path: every block in order off the lane
+    /// path, the ragged leftovers on it.
+    size_type scalar_block(size_type i) const {
+        return lane_path ? scalar_blocks[static_cast<std::size_t>(i)] : i;
+    }
+    size_type scalar_count() const {
+        return lane_path ? static_cast<size_type>(scalar_blocks.size())
+                         : layout->count();
+    }
     /// Blocks solved through the interleaved lanes.
     size_type simd_block_count = 0;
 
@@ -314,17 +328,6 @@ private:
     /// blocks into the persistent storage, then breakdown recovery.
     /// Shared by construction and refresh(); resets all numeric state.
     void run_numeric(const sparse::Csr<T>& a);
-    /// i-th block of the scalar (non-lane) path.
-    size_type scalar_block(size_type i) const {
-        return sym_->lanes > 1
-                   ? sym_->scalar_blocks[static_cast<std::size_t>(i)]
-                   : i;
-    }
-    size_type scalar_count() const {
-        return sym_->lanes > 1
-                   ? static_cast<size_type>(sym_->scalar_blocks.size())
-                   : layout_->count();
-    }
     /// Build the persistent rhs workspaces, offset maps and the flat
     /// chunk-task list apply_simd dispatches over (setup-time only).
     void build_apply_workspaces();

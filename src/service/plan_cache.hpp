@@ -4,8 +4,8 @@
 // sparsity pattern (time steps, Newton iterates, per-client instances of
 // the same discretization). The symbolic layer of a block-Jacobi setup
 // -- supervariable agglomeration, gather plan, lane grouping -- depends
-// only on that pattern and the backend's (bound, isa, lanes) knobs, so
-// thousands of same-pattern sessions can share a single
+// only on that pattern and the backend's (bound, lane path, isa, lanes)
+// knobs, so thousands of same-pattern sessions can share a single
 // precond::BlockJacobiSymbolic while keeping private numeric factors.
 //
 // The cache is keyed by the 64-bit CSR pattern fingerprint (plus the
@@ -46,14 +46,17 @@ struct PlanKey {
     index_type num_rows = 0;
     size_type nnz = 0;
     index_type max_block_size = 0;
+    /// lu-simd symbolic (groups + leftovers) vs all-scalar; lu-simd on
+    /// the scalar ISA has the same (isa, lanes) as a non-lane backend.
+    bool lane_path = false;
     core::SimdIsa isa = core::SimdIsa::scalar;
     index_type lanes = 1;
 
     friend bool operator<(const PlanKey& a, const PlanKey& b) {
         return std::tie(a.pattern_hash, a.num_rows, a.nnz,
-                        a.max_block_size, a.isa, a.lanes) <
+                        a.max_block_size, a.lane_path, a.isa, a.lanes) <
                std::tie(b.pattern_hash, b.num_rows, b.nnz,
-                        b.max_block_size, b.isa, b.lanes);
+                        b.max_block_size, b.lane_path, b.isa, b.lanes);
     }
 };
 
@@ -113,6 +116,7 @@ public:
             if (!core::simd_isa_available(isa)) {
                 isa = core::detect_simd_isa();
             }
+            key.lane_path = true;
             key.isa = isa;
             key.lanes = core::simd_lanes<T>(isa);
         }

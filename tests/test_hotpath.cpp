@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <new>
 #include <random>
@@ -19,6 +21,7 @@
 #include "blas/fused.hpp"
 #include "precond/block_jacobi.hpp"
 #include "solvers/cg.hpp"
+#include "solvers/idr.hpp"
 #include "sparse/generators.hpp"
 
 // ---------------------------------------------------------------------
@@ -411,6 +414,18 @@ TEST(SpmvPartition, SetValuesKeepsStructureAndPartition) {
 // Zero-allocation BlockJacobi apply
 // ---------------------------------------------------------------------
 
+// Pool workers allocate once when they start (thread names). Waiting
+// until every worker has parked proves they all started, so nothing
+// counted afterwards comes from startup on a loaded host.
+void wait_until_workers_parked(const ThreadPool& pool) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (pool.parked_threads() < static_cast<size_type>(pool.size()) - 1 &&
+           std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+}
+
 TEST(BlockJacobiApply, PerformsNoHeapAllocations) {
     for (const auto backend : {precond::BlockJacobiBackend::lu,
                                precond::BlockJacobiBackend::lu_simd}) {
@@ -424,6 +439,7 @@ TEST(BlockJacobiApply, PerformsNoHeapAllocations) {
         std::vector<double> z(nz);
         // Warm-up: first-use metric counters insert map nodes once.
         prec.apply(cspan(r), std::span<double>(z));
+        wait_until_workers_parked(ThreadPool::global());
         const long before = g_allocations.load(std::memory_order_relaxed);
         for (int rep = 0; rep < 10; ++rep) {
             prec.apply(cspan(r), std::span<double>(z));
@@ -432,6 +448,57 @@ TEST(BlockJacobiApply, PerformsNoHeapAllocations) {
         EXPECT_EQ(after - before, 0)
             << backend_name(backend) << ": apply allocated";
     }
+
+    // The same contract on an explicit 4-thread stealing pool, whatever
+    // VBATCH_THREADS sizes the global one: a dispatched parallel_for
+    // splits lazily, and splitting must not allocate either.
+    ThreadPool pool(4, SchedMode::stealing);
+    wait_until_workers_parked(pool);
+    ThreadPool::set_stats_enabled(true);
+    std::vector<double> out(1024);
+    const auto body = [&](size_type i) {
+        out[static_cast<std::size_t>(i)] =
+            std::sqrt(static_cast<double>(i) + 1.0);
+    };
+    const long before = g_allocations.load(std::memory_order_relaxed);
+    for (int rep = 0; rep < 10; ++rep) {
+        pool.parallel_for(0, 1024, body, 8);
+    }
+    const long after = g_allocations.load(std::memory_order_relaxed);
+    const auto t = pool.telemetry();
+    ThreadPool::set_stats_enabled(false);
+    EXPECT_EQ(after - before, 0) << "stealing parallel_for allocated";
+    EXPECT_GT(t.splits, 0);
+}
+
+// Every buffer an IDR(s) solve needs is sized before its first
+// iteration: a solve capped at 40 iterations allocates exactly as often
+// as one capped at 10. 10000 rows span two BLAS-1 chunks, so the
+// reductions and multi_dot take their parallel paths.
+TEST(IdrSolve, IterationsPerformNoHeapAllocations) {
+    const auto a = sparse::laplacian_2d<double>(100, 100);
+    precond::BlockJacobiOptions popts;
+    popts.max_block_size = 12;
+    const precond::BlockJacobi<double> prec(a, popts);
+    const auto nz = static_cast<std::size_t>(a.num_rows());
+    const std::vector<double> b(nz, 1.0);
+    const auto allocations_of = [&](index_type max_iters) {
+        solvers::IdrOptions opts;
+        opts.s = 4;
+        opts.max_iters = max_iters;
+        opts.rel_tol = 1e-300;  // run to the cap
+        std::vector<double> x(nz, 0.0);
+        const long before = g_allocations.load(std::memory_order_relaxed);
+        const auto result =
+            solvers::idr(a, cspan(b), std::span<double>(x), prec, opts);
+        const long after = g_allocations.load(std::memory_order_relaxed);
+        EXPECT_EQ(result.iterations, max_iters);
+        return after - before;
+    };
+    allocations_of(10);  // warm-up: first-use metric counters
+    const long short_solve = allocations_of(10);
+    const long long_solve = allocations_of(40);
+    EXPECT_EQ(short_solve, long_solve);
 }
 
 TEST(BlockJacobiApply, SimdPathMatchesScalarBackendBitwise) {

@@ -2,6 +2,7 @@
 #include "base/exception.hpp"
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -138,6 +139,69 @@ TEST(BlockJacobi, SimdBackendMatchesScalarLuBitwise) {
         EXPECT_EQ(simd.name(), std::string("block-jacobi(lu-simd[") +
                                    core::simd_isa_name(isa) + "],32)");
     }
+}
+
+// The fused numeric pass gathers and factorizes each block in place, so
+// two tasks owning one block race on its factor storage. Every block
+// must have exactly one writer task -- on every ISA, including scalar,
+// where lu-simd builds 1-lane groups.
+TEST(BlockJacobi, SymbolicGivesEveryBlockOneWriterTask) {
+    const auto a = sparse::fem_block_matrix<double>(60, 4, 12, 2, 0.2, 29);
+    const auto count_writers = [](const BlockJacobiSymbolic& sym) {
+        std::vector<int> writers(
+            static_cast<std::size_t>(sym.layout->count()), 0);
+        for (const auto& task : sym.tasks) {
+            if (task.group != BlockJacobiSymbolic::no_group) {
+                const auto& g =
+                    sym.groups[static_cast<std::size_t>(task.group)];
+                const auto lo = static_cast<std::size_t>(task.chunk) *
+                                static_cast<std::size_t>(sym.lanes);
+                const auto hi = std::min(
+                    lo + static_cast<std::size_t>(sym.lanes),
+                    g.indices.size());
+                for (auto l = lo; l < hi; ++l) {
+                    ++writers[static_cast<std::size_t>(g.indices[l])];
+                }
+            } else {
+                for (auto i = task.lo; i < task.hi; ++i) {
+                    ++writers[static_cast<std::size_t>(
+                        sym.scalar_block(i))];
+                }
+            }
+        }
+        return writers;
+    };
+    BlockJacobiOptions lu_opts;
+    lu_opts.backend = BlockJacobiBackend::lu;
+    const auto lu_sym = build_block_jacobi_symbolic(a, lu_opts);
+    EXPECT_FALSE(lu_sym->lane_path);
+    for (const int w : count_writers(*lu_sym)) {
+        ASSERT_EQ(w, 1) << "lu";
+    }
+    for (const auto isa : core::available_simd_isas()) {
+        BlockJacobiOptions opts;
+        opts.backend = BlockJacobiBackend::lu_simd;
+        opts.simd = isa;
+        const auto sym = build_block_jacobi_symbolic(a, opts);
+        EXPECT_TRUE(sym->lane_path);
+        EXPECT_FALSE(sym->groups.empty()) << core::simd_isa_name(isa);
+        const auto writers = count_writers(*sym);
+        for (std::size_t b = 0; b < writers.size(); ++b) {
+            ASSERT_EQ(writers[b], 1)
+                << core::simd_isa_name(isa) << " block " << b;
+        }
+        // A lane-path symbolic is never adopted by a scalar-path
+        // backend (nor the reverse), whatever its lane count.
+        BlockJacobiOptions adopt = lu_opts;
+        adopt.symbolic = sym;
+        EXPECT_THROW(BlockJacobi<double>(a, adopt), BadParameter)
+            << core::simd_isa_name(isa);
+    }
+    BlockJacobiOptions adopt_scalar;
+    adopt_scalar.backend = BlockJacobiBackend::lu_simd;
+    adopt_scalar.simd = core::SimdIsa::scalar;
+    adopt_scalar.symbolic = lu_sym;
+    EXPECT_THROW(BlockJacobi<double>(a, adopt_scalar), BadParameter);
 }
 
 TEST(BlockJacobi, BackendsAgreeWithinRounding) {

@@ -4,6 +4,7 @@
 // parallel_for storms, and in-process A/B between the two scheduling
 // modes.
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
@@ -282,6 +283,32 @@ TEST(Scheduler, TelemetryCountsStealActivity) {
     EXPECT_GE(t.steals, 0);
     EXPECT_GE(t.steal_fails, 0);
     EXPECT_GE(t.parks, 0);
+}
+
+// The spin before parking is bounded: after a parallel_for and a sleep
+// far longer than the spin bound (tens of µs), every worker has parked
+// and released its CPU. The poll only absorbs a descheduled worker on
+// an oversubscribed host.
+TEST(Scheduler, IdleWorkersParkAfterSpinning) {
+    ThreadPool::set_stats_enabled(true);
+    ThreadPool pool(4, SchedMode::stealing);
+    std::atomic<std::int64_t> sum{0};
+    pool.parallel_for(
+        0, 4096,
+        [&](size_type i) { sum.fetch_add(i, std::memory_order_relaxed); },
+        16);
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (pool.parked_threads() < 3 &&
+           std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    const auto t = pool.telemetry();
+    ThreadPool::set_stats_enabled(false);
+    EXPECT_EQ(sum.load(), std::int64_t{4096} * 4095 / 2);
+    EXPECT_EQ(pool.parked_threads(), 3);
+    EXPECT_GE(t.parks, 3);
 }
 
 // The satellite fix: nested inline runs (n <= grain inside a worker)

@@ -132,6 +132,19 @@ TEST(PlanCache, ScalarBackendsShareOneSymbolic) {
     EXPECT_EQ(stats.cache.reuses, 1u);
 }
 
+TEST(PlanCache, ScalarIsaLaneBackendGetsItsOwnPlan) {
+    // lu-simd on the scalar ISA has 1-lane groups, the same (isa, lanes)
+    // as the scalar path, yet a different block ownership: the two must
+    // not share a symbolic.
+    Engine engine;
+    const auto a = test_matrix();
+    auto simd_opts = lu_session("lu-simd");
+    simd_opts.precond.simd = core::SimdIsa::scalar;
+    auto s1 = engine.open_session(a, simd_opts);
+    auto s2 = engine.open_session(a, lu_session("lu"));
+    EXPECT_EQ(engine.stats().cache.builds, 2u);
+}
+
 TEST(PlanCache, NoSymbolicBackendBypassesTheCache) {
     Engine engine;
     SessionOptions opts;
