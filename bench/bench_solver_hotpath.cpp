@@ -4,7 +4,7 @@
 //
 //   spmv      nnz-balanced parallel CSR SpMV   vs serial row loop
 //   blas1     fused CG update (one sweep)      vs blas::ref axpy+axpy+nrm2
-//   apply     block-Jacobi lu_simd pooled      vs scalar serial lu apply
+//   apply     block-Jacobi lu_simd pooled      vs serial lu (1-lane) apply
 //   iteration all three chained                vs all three reference
 //
 // Only "speedup" series are emitted (ratios survive machine changes far
@@ -97,7 +97,7 @@ int main() {
         q[i] = vb::uniform(eng, -1.0, 1.0);
     }
 
-    // Preconditioners: scalar serial apply (reference) vs interleaved SIMD
+    // Preconditioners: serial 1-lane apply (reference) vs interleaved SIMD
     // groups dispatched over the pool (optimized). Identical factors.
     vb::precond::BlockJacobiOptions ref_opts;
     ref_opts.backend = vb::precond::BlockJacobiBackend::lu;

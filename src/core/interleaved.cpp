@@ -191,38 +191,6 @@ void InterleavedVectors<T>::unpack(BatchedVectors<T>& dst,
     }
 }
 
-template <typename T>
-void InterleavedVectors<T>::pack_flat(std::span<const T> x,
-                                      const BatchLayout& layout,
-                                      std::span<const size_type> idx) {
-    VBATCH_ENSURE(static_cast<size_type>(idx.size()) == count_,
-                  "index list does not match group count");
-    for (size_type l = 0; l < count_; ++l) {
-        const size_type b = idx[static_cast<std::size_t>(l)];
-        VBATCH_ENSURE_DIMS(layout.size(b) == m_);
-        const T* src = x.data() + layout.row_offset(b);
-        for (index_type i = 0; i < m_; ++i) {
-            values_[value_index(i, l)] = src[i];
-        }
-    }
-}
-
-template <typename T>
-void InterleavedVectors<T>::unpack_flat(
-    std::span<T> x, const BatchLayout& layout,
-    std::span<const size_type> idx) const {
-    VBATCH_ENSURE(static_cast<size_type>(idx.size()) == count_,
-                  "index list does not match group count");
-    for (size_type l = 0; l < count_; ++l) {
-        const size_type b = idx[static_cast<std::size_t>(l)];
-        VBATCH_ENSURE_DIMS(layout.size(b) == m_);
-        T* dst = x.data() + layout.row_offset(b);
-        for (index_type i = 0; i < m_; ++i) {
-            dst[i] = values_[value_index(i, l)];
-        }
-    }
-}
-
 template class InterleavedGroup<float>;
 template class InterleavedGroup<double>;
 template class InterleavedVectors<float>;

@@ -129,13 +129,6 @@ public:
     void unpack(BatchedVectors<T>& dst,
                 std::span<const size_type> idx) const;
 
-    /// Gather/scatter per-block segments of a flat vector laid out by
-    /// `layout` row offsets (the block-Jacobi apply path).
-    void pack_flat(std::span<const T> x, const BatchLayout& layout,
-                   std::span<const size_type> idx);
-    void unpack_flat(std::span<T> x, const BatchLayout& layout,
-                     std::span<const size_type> idx) const;
-
 private:
     index_type m_ = 0;
     size_type count_ = 0;

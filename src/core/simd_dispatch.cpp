@@ -121,6 +121,10 @@ SimdIsa detect_simd_isa() {
     return cached;
 }
 
+SimdIsa resolve_simd_isa(SimdIsa requested) {
+    return simd_isa_available(requested) ? requested : detect_simd_isa();
+}
+
 std::vector<SimdIsa> available_simd_isas() {
     std::vector<SimdIsa> isas;
     for (const SimdIsa isa : {SimdIsa::scalar, SimdIsa::sse2, SimdIsa::avx2,

@@ -43,6 +43,12 @@ bool simd_isa_available(SimdIsa isa);
 /// The result is computed once and cached.
 SimdIsa detect_simd_isa();
 
+/// `requested` when available, else detect_simd_isa(): the one clamp
+/// every consumer of a requested ISA (lane-path symbolics, plan-cache
+/// keys, the vectorized drivers) applies, so they agree on the ISA that
+/// actually runs.
+SimdIsa resolve_simd_isa(SimdIsa requested);
+
 /// Every available ISA, narrowest first (always contains scalar).
 std::vector<SimdIsa> available_simd_isas();
 

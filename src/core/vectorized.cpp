@@ -240,12 +240,8 @@ void record_launch(const char* op, SimdIsa isa, size_type problems) {
     registry.add(prefix + ".problems", static_cast<double>(problems));
 }
 
-/// Requested ISA if this build/machine supports it, else the detected one.
-SimdIsa resolve_isa(SimdIsa requested) {
-    return simd_isa_available(requested) ? requested : detect_simd_isa();
-}
+}  // namespace
 
-/// Per-size index buckets of a (possibly ragged) batch layout.
 std::vector<std::vector<size_type>> size_buckets(const BatchLayout& layout) {
     std::vector<std::vector<size_type>> buckets(
         static_cast<std::size_t>(max_block_size) + 1);
@@ -254,8 +250,6 @@ std::vector<std::vector<size_type>> size_buckets(const BatchLayout& layout) {
     }
     return buckets;
 }
-
-}  // namespace
 
 template <typename T>
 void run_simd_op_sweep(SimdIsa isa, const simd::OpSweepInput<T>& in,
@@ -564,7 +558,7 @@ FactorizeStatus getrf_batch_vectorized(BatchedMatrices<T>& a,
                                    BlockStatus::ok);
         status.block_info.resize(static_cast<std::size_t>(a.count()));
     }
-    const SimdIsa isa = resolve_isa(opts.isa);
+    const SimdIsa isa = resolve_simd_isa(opts.isa);
     VectorizedOptions group_opts = opts;
     group_opts.on_singular = SingularPolicy::report;
     for (const auto& bucket : size_buckets(a.layout())) {
@@ -616,7 +610,7 @@ void getrs_batch_vectorized(const BatchedMatrices<T>& lu,
     obs::count("trsv.launches");
     obs::count("trsv.problems", static_cast<double>(lu.count()));
 
-    const SimdIsa isa = resolve_isa(opts.isa);
+    const SimdIsa isa = resolve_simd_isa(opts.isa);
     for (const auto& bucket : size_buckets(lu.layout())) {
         if (bucket.empty() || lu.size(bucket.front()) == 0) {
             continue;

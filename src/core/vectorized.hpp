@@ -19,6 +19,8 @@
 // time. The solve path implements the paper's selected eager variant.
 #pragma once
 
+#include <vector>
+
 #include "core/getrf.hpp"
 #include "core/interleaved.hpp"
 #include "core/pivot_policy.hpp"
@@ -143,6 +145,12 @@ void gather_interleaved_chunk(InterleavedGroup<T>& g,
 template <typename T>
 void scan_interleaved_chunk(const InterleavedGroup<T>& g, size_type chunk,
                             FactorInfo* infos);
+
+/// Per-size index buckets of a (possibly ragged) batch layout:
+/// buckets[m] lists the blocks of order m in ascending order. Each
+/// non-empty bucket of order >= 1 is one interleaved group of the drop-in
+/// drivers below and of the block-Jacobi lane path.
+std::vector<std::vector<size_type>> size_buckets(const BatchLayout& layout);
 
 /// Drop-in vectorized getrf_batch: buckets `a` by block size, factorizes
 /// each bucket through the interleaved kernels and scatters factors +

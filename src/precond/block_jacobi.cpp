@@ -33,6 +33,20 @@ void atomic_add(std::atomic<double>& acc, double v) {
 /// split the gather/factorize attribution honestly.
 constexpr size_type scalar_stats_batch = 8;
 
+/// The backends served by the interleaved lane path.
+bool lane_backend(BlockJacobiBackend backend) {
+    return backend == BlockJacobiBackend::lu ||
+           backend == BlockJacobiBackend::lu_simd;
+}
+
+/// ISA the lane path runs at: the scalar ISA (one lane) for lu, the
+/// requested ISA clamped to availability for lu_simd.
+core::SimdIsa lane_isa(const BlockJacobiOptions& options) {
+    return options.backend == BlockJacobiBackend::lu_simd
+               ? core::resolve_simd_isa(options.simd)
+               : core::SimdIsa::scalar;
+}
+
 }  // namespace
 
 std::string backend_name(BlockJacobiBackend backend) {
@@ -63,9 +77,7 @@ std::size_t BlockJacobiSymbolic::byte_size() const noexcept {
                      sizeof(size_type) +
                  sizeof(Group);
     }
-    bytes += scalar_blocks.capacity() * sizeof(size_type) +
-             tasks.capacity() * sizeof(Task) +
-             apply_chunks.capacity() * sizeof(Chunk);
+    bytes += tasks.capacity() * sizeof(Task);
     return bytes;
 }
 
@@ -86,23 +98,24 @@ BlockJacobiSymbolicPtr build_block_jacobi_symbolic(
     }
     ScopedTimer phase(sym->plan_seconds);
     sym->plan = blocking::GatherPlan(a, sym->layout);
-    if (options.backend == BlockJacobiBackend::lu_simd) {
+    if (lane_backend(options.backend)) {
         // Clamp once so the kept groups, metrics and name() agree on the
         // ISA actually executed.
-        auto isa = options.simd;
-        if (!core::simd_isa_available(isa)) {
-            isa = core::detect_simd_isa();
-        }
-        sym->isa = isa;
-        sym->lanes = core::simd_lanes<T>(isa);
+        sym->isa = lane_isa(options);
+        sym->lanes = core::simd_lanes<T>(sym->isa);
         sym->lane_path = true;
-        const auto plan =
-            blocking::build_size_class_plan(*sym->layout, sym->lanes);
-        sym->groups.reserve(plan.vector_groups.size());
-        for (const auto& cls : plan.vector_groups) {
+        // Every size class is one group, however small: a class of fewer
+        // blocks than lanes is one identity-padded chunk, like the tail
+        // chunk of any group. Size-0 blocks carry no work and join none.
+        auto buckets = core::size_buckets(*sym->layout);
+        for (index_type m = 1; m <= max_block_size; ++m) {
+            auto& indices = buckets[static_cast<std::size_t>(m)];
+            if (indices.empty()) {
+                continue;
+            }
             BlockJacobiSymbolic::Group g;
-            g.size = cls.size;
-            g.indices = cls.indices;
+            g.size = m;
+            g.indices = std::move(indices);
             g.gather = sym->plan.interleaved_map(g.indices, sym->lanes);
             g.row_offsets.resize(g.indices.size());
             for (std::size_t l = 0; l < g.indices.size(); ++l) {
@@ -113,20 +126,19 @@ BlockJacobiSymbolicPtr build_block_jacobi_symbolic(
             const auto gi = static_cast<size_type>(sym->groups.size());
             for (size_type c = 0; c < g.chunks; ++c) {
                 sym->tasks.push_back({gi, c, 0, 0});
-                sym->apply_chunks.push_back({gi, c});
             }
+            sym->simd_block_count += count;
             sym->groups.push_back(std::move(g));
         }
-        sym->simd_block_count = plan.vector_block_count();
-        sym->scalar_blocks = plan.scalar_indices;
-    }
-    // Scalar-path blocks (all blocks for the non-lane backends) run in
-    // ranges of batch_entry_grain -- task units of a weight comparable
-    // to one SIMD chunk, matching the grain the batch drivers used.
-    const size_type nscalar = sym->scalar_count();
-    for (size_type lo = 0; lo < nscalar; lo += batch_entry_grain) {
-        sym->tasks.push_back({BlockJacobiSymbolic::no_group, 0, lo,
-                              std::min(lo + batch_entry_grain, nscalar)});
+    } else {
+        // The scalar path runs in block ranges of batch_entry_grain --
+        // task units of a weight comparable to one SIMD chunk, matching
+        // the grain the batch drivers used.
+        const size_type nb = sym->layout->count();
+        for (size_type lo = 0; lo < nb; lo += batch_entry_grain) {
+            sym->tasks.push_back({BlockJacobiSymbolic::no_group, 0, lo,
+                                  std::min(lo + batch_entry_grain, nb)});
+        }
     }
     // Every symbolic construction is one plan build, whether it happens
     // inline in a BlockJacobi setup or ahead of time for sharing (the
@@ -143,11 +155,8 @@ void BlockJacobi<T>::validate_symbolic(const sparse::Csr<T>& a) const {
     VBATCH_ENSURE(sym_->max_block_size == options_.max_block_size,
                   "block-Jacobi setup: shared symbolic was built under a "
                   "different block bound");
-    if (options_.backend == BlockJacobiBackend::lu_simd) {
-        auto isa = options_.simd;
-        if (!core::simd_isa_available(isa)) {
-            isa = core::detect_simd_isa();
-        }
+    if (lane_backend(options_.backend)) {
+        const auto isa = lane_isa(options_);
         VBATCH_ENSURE(sym_->lane_path &&
                           sym_->lanes == core::simd_lanes<T>(isa) &&
                           sym_->isa == isa,
@@ -168,8 +177,7 @@ BlockJacobi<T>::BlockJacobi(const sparse::Csr<T>& a,
     obs::PerfRegion perf("block_jacobi::setup");
     Timer timer;
     if (options_.pivot == PivotScheme::rbt) {
-        VBATCH_ENSURE(options_.backend == BlockJacobiBackend::lu ||
-                          options_.backend == BlockJacobiBackend::lu_simd,
+        VBATCH_ENSURE(lane_backend(options_.backend),
                       "block-Jacobi setup: pivot=rbt requires the lu or "
                       "lu-simd backend");
         VBATCH_ENSURE(
@@ -177,8 +185,7 @@ BlockJacobi<T>::BlockJacobi(const sparse::Csr<T>& a,
             "block-Jacobi setup: pivot=rbt requires a non-strict recovery "
             "policy (degenerate blocks must be able to fall back to the "
             "pivoted path)");
-        rbt_ = core::RbtTransforms<T>(options_.rbt_seed,
-                                      options_.rbt_depth);
+        rbt_ = core::RbtTransforms<T>(options_.rbt_seed, rbt_depth);
     }
     if (options_.symbolic) {
         sym_ = options_.symbolic;
@@ -202,9 +209,10 @@ BlockJacobi<T>::BlockJacobi(const sparse::Csr<T>& a,
         options_.recovery.mode != RecoveryPolicy::Mode::strict;
     simd_groups_.reserve(sym_->groups.size());
     for (const auto& g : sym_->groups) {
+        const auto count = static_cast<size_type>(g.indices.size());
         SimdGroup sg;
-        sg.group = core::InterleavedGroup<T>(
-            g.size, static_cast<size_type>(g.indices.size()), sym_->isa);
+        sg.group = core::InterleavedGroup<T>(g.size, count, sym_->isa);
+        sg.rhs = core::InterleavedVectors<T>(g.size, count, sym_->isa);
         if (monitor) {
             sg.lane_infos.resize(g.indices.size());
         }
@@ -222,9 +230,6 @@ BlockJacobi<T>::BlockJacobi(const sparse::Csr<T>& a,
         simd_groups_.push_back(std::move(sg));
     }
     run_numeric(a);
-    if (options_.backend == BlockJacobiBackend::lu_simd) {
-        build_apply_workspaces();
-    }
     for (size_type b = 0; b < layout_->count(); ++b) {
         const auto m = static_cast<double>(layout_->size(b));
         apply_bytes_ += (m * m + 2.0 * m) * sizeof(T);
@@ -242,11 +247,9 @@ BlockJacobi<T>::BlockJacobi(const sparse::Csr<T>& a,
     }
     setup_seconds_ = timer.seconds();
     auto& registry = obs::Registry::global();
-    if (options_.backend == BlockJacobiBackend::lu_simd) {
+    if (sym_->lane_path) {
         registry.add("block_jacobi.simd_blocks",
                      static_cast<double>(sym_->simd_block_count));
-        registry.add("block_jacobi.simd_scalar_blocks",
-                     static_cast<double>(sym_->scalar_blocks.size()));
         registry.add("block_jacobi.simd_groups",
                      static_cast<double>(simd_groups_.size()));
     }
@@ -448,21 +451,17 @@ void BlockJacobi<T>::run_numeric(const sparse::Csr<T>& a) {
             const size_type hi =
                 std::min(lo + scalar_stats_batch, task.hi);
             Timer tg;
-            for (size_type i = lo; i < hi; ++i) {
-                const auto b = sym_->scalar_block(i);
+            for (size_type b = lo; b < hi; ++b) {
                 sym_->plan.gather_block(values, b, factors_.view(b));
             }
             gsec += tg.seconds();
             Timer tf;
-            for (size_type i = lo; i < hi; ++i) {
-                const auto b = sym_->scalar_block(i);
+            for (size_type b = lo; b < hi; ++b) {
                 core::FactorInfo* info =
                     monitor
                         ? &status.block_info[static_cast<std::size_t>(b)]
                         : nullptr;
-                const auto step = rbt_enabled()
-                                      ? factorize_block_rbt(b, info)
-                                      : factorize_block(b, info);
+                const auto step = factorize_block(b, info);
                 if (step != 0) {
                     if (monitor) {
                         status.block_status[static_cast<std::size_t>(b)] =
@@ -513,9 +512,9 @@ index_type BlockJacobi<T>::factorize_block(size_type b,
     switch (options_.backend) {
     case BlockJacobiBackend::lu:
     case BlockJacobiBackend::lu_simd:
-        // The scalar implicit-pivoting kernel rounds identically to the
-        // interleaved lanes, so a boosted block can stay on the SIMD
-        // apply path after a repack.
+        // Recovery only: the scalar implicit-pivoting kernel rounds
+        // identically to the interleaved lanes, so a boosted block stays
+        // on the lane apply path after a repack.
         return info != nullptr
                    ? core::getrf_implicit(factors_.view(b),
                                           pivots_.span(b), *info)
@@ -547,56 +546,6 @@ index_type BlockJacobi<T>::factorize_block(size_type b,
                    : core::potrf_single(factors_.view(b));
     }
     return 0;
-}
-
-template <typename T>
-index_type BlockJacobi<T>::factorize_block_rbt(size_type b,
-                                               core::FactorInfo* info) {
-    auto v = factors_.view(b);
-    const index_type m = v.rows();
-    if (info != nullptr) {
-        // Pristine entry statistics, taken before the transform so they
-        // match the gather-fused lane statistics of the chunk path.
-        *info = {};
-        constexpr double inf = std::numeric_limits<double>::infinity();
-        for (index_type j = 0; j < m; ++j) {
-            for (index_type i = 0; i < m; ++i) {
-                const double av =
-                    std::abs(static_cast<double>(v(i, j)));
-                if (av < inf) {
-                    info->max_entry = std::max(info->max_entry, av);
-                } else {
-                    info->finite = false;
-                }
-            }
-        }
-    }
-    rbt_.transform_block(b, v);
-    auto p = pivots_.span(b);
-    for (index_type k = 0; k < m; ++k) {
-        p[static_cast<std::size_t>(k)] = k;
-    }
-    const auto step = core::getrf_nopivot(v);
-    if (info != nullptr) {
-        info->step = step;
-        if (step != 0) {
-            info->min_pivot = 0.0;
-            return step;
-        }
-        // Post-hoc diagonal scan: without pivoting |u_kk| *is* the pivot
-        // sequence (the scalar mirror of scan_interleaved_chunk).
-        constexpr double inf = std::numeric_limits<double>::infinity();
-        for (index_type k = 0; k < m; ++k) {
-            const double d = std::abs(static_cast<double>(v(k, k)));
-            if (d < inf) {
-                info->min_pivot = std::min(info->min_pivot, d);
-                info->max_pivot = std::max(info->max_pivot, d);
-            } else {
-                info->finite = false;
-            }
-        }
-    }
-    return step;
 }
 
 template <typename T>
@@ -758,11 +707,11 @@ void BlockJacobi<T>::recover(std::span<const T> values,
         recovery_.record(s);
     }
 
-    // lu_simd: every bad block was restored/refactorized through the
+    // Lane path: every bad block was restored/refactorized through the
     // scalar kernel, but the interleaved groups still hold the pre-boost
     // lanes; repack the groups that contain one. Boosted blocks stay on
-    // the SIMD apply path (scalar and lane kernels round identically).
-    if (options_.backend == BlockJacobiBackend::lu_simd) {
+    // the lane apply path (scalar and lane kernels round identically).
+    if (sym_->lane_path) {
         std::vector<char> dirty(static_cast<std::size_t>(nb), 0);
         for (const auto b : bad) {
             dirty[static_cast<std::size_t>(b)] = 1;
@@ -793,94 +742,61 @@ void BlockJacobi<T>::apply_fallback_block(size_type b, std::span<const T> r,
 }
 
 template <typename T>
-void BlockJacobi<T>::build_apply_workspaces() {
-    // The chunk task list and row-offset maps are symbolic (shared);
-    // only the per-object rhs staging workspaces are allocated here.
-    for (auto& sg : simd_groups_) {
-        sg.rhs = core::InterleavedVectors<T>(sg.group.size(),
-                                             sg.group.count(),
-                                             sg.group.isa());
-    }
-}
-
-template <typename T>
-void BlockJacobi<T>::apply_simd(std::span<const T> r, std::span<T> z) const {
-    // All groups' chunks plus the scalar leftovers form one flat task
-    // list driven by a single parallel_for; each chunk task fuses
+void BlockJacobi<T>::apply_lanes(std::span<const T> r,
+                                 std::span<T> z) const {
+    // All groups' chunks form one flat task list (the setup's) driven by
+    // a single parallel_for; each chunk task fuses
     // gather -> lane solve -> scatter on its slice of the persistent
     // workspace, with the row offsets resolved at setup (no per-element
     // div/mod, no per-apply InterleavedVectors, no zero-fill of padding
     // lanes -- the matrix padding is identity, so stale padding values
     // pass through the solve and stay finite without ever being read).
-    const auto nchunks = static_cast<size_type>(sym_->apply_chunks.size());
-    const auto total =
-        nchunks + static_cast<size_type>(sym_->scalar_blocks.size());
+    const auto total = static_cast<size_type>(sym_->tasks.size());
     const auto body = [&](size_type t) {
-        if (t < nchunks) {
-            const auto& task =
-                sym_->apply_chunks[static_cast<std::size_t>(t)];
-            const auto& sg =
-                simd_groups_[static_cast<std::size_t>(task.group)];
-            const auto& row_offsets =
-                sym_->groups[static_cast<std::size_t>(task.group)]
-                    .row_offsets;
-            const auto m = static_cast<size_type>(sg.group.size());
-            const auto lanes = static_cast<size_type>(sg.group.lanes());
-            const size_type lane_lo = task.chunk * lanes;
-            const size_type lane_hi =
-                std::min(lane_lo + lanes, sg.group.count());
-            T* chunk_vals = sg.rhs.values() + task.chunk * m * lanes;
-            for (size_type l = lane_lo; l < lane_hi; ++l) {
-                const T* src =
-                    r.data() + row_offsets[static_cast<std::size_t>(l)];
-                T* dst = chunk_vals + (l - lane_lo);
-                for (size_type i = 0; i < m; ++i) {
-                    dst[i * lanes] = src[i];
-                }
+        const auto& task = sym_->tasks[static_cast<std::size_t>(t)];
+        const auto& sg =
+            simd_groups_[static_cast<std::size_t>(task.group)];
+        const auto& row_offsets =
+            sym_->groups[static_cast<std::size_t>(task.group)]
+                .row_offsets;
+        const auto m = static_cast<size_type>(sg.group.size());
+        const auto lanes = static_cast<size_type>(sg.group.lanes());
+        const size_type lane_lo = task.chunk * lanes;
+        const size_type lane_hi =
+            std::min(lane_lo + lanes, sg.group.count());
+        T* chunk_vals = sg.rhs.values() + task.chunk * m * lanes;
+        for (size_type l = lane_lo; l < lane_hi; ++l) {
+            const T* src =
+                r.data() + row_offsets[static_cast<std::size_t>(l)];
+            T* dst = chunk_vals + (l - lane_lo);
+            for (size_type i = 0; i < m; ++i) {
+                dst[i * lanes] = src[i];
             }
-            if (rbt_enabled()) {
-                // y = V solve(LU, U^T b): vector transforms bracket the
-                // pivot-free lane solve. Lanes holding blocks that left
-                // the fast path produce finite garbage here and are
-                // re-solved by the pivoted fix-up pass below.
-                core::rbt_forward_interleaved_chunk(
-                    sg.group, sg.rhs, sg.ucoef.data(), rbt_.depth(),
-                    task.chunk);
-                core::getrs_interleaved_chunk(sg.group, sg.rhs, task.chunk,
-                                              core::PivotPolicy::none);
-                core::rbt_backward_interleaved_chunk(
-                    sg.group, sg.rhs, sg.vcoef.data(), rbt_.depth(),
-                    task.chunk);
-            } else {
-                core::getrs_interleaved_chunk(sg.group, sg.rhs,
-                                              task.chunk);
-            }
-            for (size_type l = lane_lo; l < lane_hi; ++l) {
-                T* dst =
-                    z.data() + row_offsets[static_cast<std::size_t>(l)];
-                const T* src = chunk_vals + (l - lane_lo);
-                for (size_type i = 0; i < m; ++i) {
-                    dst[i] = src[i * lanes];
-                }
-            }
-            return;
         }
-        const auto b = sym_->scalar_blocks[static_cast<std::size_t>(
-            t - nchunks)];
-        const auto off = static_cast<std::size_t>(layout_->row_offset(b));
-        const auto m = static_cast<std::size_t>(layout_->size(b));
-        const std::span<T> zb = z.subspan(off, m);
-        for (std::size_t k = 0; k < m; ++k) {
-            zb[k] = r[off + k];
-        }
-        if (rbt_applied(b)) {
-            rbt_.forward(b, zb);
-            core::getrs_single_nopivot(factors_.view(b), zb,
-                                       core::TrsvVariant::eager);
-            rbt_.backward(b, zb);
+        if (rbt_enabled()) {
+            // y = V solve(LU, U^T b): vector transforms bracket the
+            // pivot-free lane solve. Lanes holding blocks that left
+            // the fast path produce finite garbage here and are
+            // re-solved by the pivoted fix-up pass below.
+            core::rbt_forward_interleaved_chunk(
+                sg.group, sg.rhs, sg.ucoef.data(), rbt_.depth(),
+                task.chunk);
+            core::getrs_interleaved_chunk(sg.group, sg.rhs, task.chunk,
+                                          core::PivotPolicy::none);
+            core::rbt_backward_interleaved_chunk(
+                sg.group, sg.rhs, sg.vcoef.data(), rbt_.depth(),
+                task.chunk);
         } else {
-            core::getrs_single(factors_.view(b), pivots_.span(b), zb,
-                               core::TrsvVariant::eager);
+            core::getrs_interleaved_chunk(sg.group, sg.rhs,
+                                          task.chunk);
+        }
+        for (size_type l = lane_lo; l < lane_hi; ++l) {
+            T* dst =
+                z.data() + row_offsets[static_cast<std::size_t>(l)];
+            const T* src = chunk_vals + (l - lane_lo);
+            for (size_type i = 0; i < m; ++i) {
+                dst[i] = src[i * lanes];
+            }
         }
     };
     if (options_.parallel) {
@@ -891,7 +807,7 @@ void BlockJacobi<T>::apply_simd(std::span<const T> r, std::span<T> z) const {
         }
     }
     // Blocks that left the RBT fast path but hold usable pivoted factors
-    // are re-solved through the scalar pivoted path (their group lanes
+    // are re-solved through the scalar pivoted solve (their group lanes
     // ran the pivot-free solve on pivoted factors above).
     for (const auto b : rbt_pivoted_blocks_) {
         const auto off = static_cast<std::size_t>(layout_->row_offset(b));
@@ -904,8 +820,8 @@ void BlockJacobi<T>::apply_simd(std::span<const T> r, std::span<T> z) const {
                            core::TrsvVariant::eager);
     }
     // Degraded blocks route through the inverse-diagonal fallback; the
-    // fix-up pass overwrites whatever the group/leftover solve produced
-    // for them (the few degraded blocks do not justify a lane path).
+    // fix-up pass overwrites whatever the group solve produced for them
+    // (the few degraded blocks do not justify a lane path).
     for (const auto b : degraded_blocks_) {
         apply_fallback_block(b, r, z);
     }
@@ -937,8 +853,8 @@ void BlockJacobi<T>::apply(std::span<const T> r, std::span<T> z) const {
     obs::TraceRegion solve_trace(solve_kind);
     obs::count("block_jacobi.applies");
     obs::count("block_jacobi.apply.bytes_moved", apply_bytes_);
-    if (options_.backend == BlockJacobiBackend::lu_simd) {
-        apply_simd(r, z);
+    if (sym_->lane_path) {
+        apply_lanes(r, z);
         return;
     }
     const auto body = [&](size_type b) {
@@ -958,16 +874,7 @@ void BlockJacobi<T>::apply(std::span<const T> r, std::span<T> z) const {
         }
         switch (options_.backend) {
         case BlockJacobiBackend::lu:
-        case BlockJacobiBackend::lu_simd:  // handled above; unreachable
-            if (rbt_applied(b)) {
-                rbt_.forward(b, zb);
-                core::getrs_single_nopivot(factors_.view(b), zb,
-                                           options_.trsv_variant);
-                rbt_.backward(b, zb);
-            } else {
-                core::getrs_single(factors_.view(b), pivots_.span(b), zb,
-                                   options_.trsv_variant);
-            }
+        case BlockJacobiBackend::lu_simd:  // lane path (apply_lanes)
             break;
         case BlockJacobiBackend::gauss_huard:
             core::gauss_huard_solve(factors_.view(b), pivots_.span(b), zb,
@@ -978,7 +885,7 @@ void BlockJacobi<T>::apply(std::span<const T> r, std::span<T> z) const {
                                     core::GhStorage::transposed);
             break;
         case BlockJacobiBackend::cholesky:
-            core::potrs_single(factors_.view(b), zb, options_.trsv_variant);
+            core::potrs_single(factors_.view(b), zb);
             break;
         case BlockJacobiBackend::gje_inversion: {
             // z_b := D_b^{-1} r_b as a small GEMV from the inverted block.

@@ -5,16 +5,24 @@
 // The interchangeable factorization backends reproduce the paper's
 // comparison:
 //   lu             - the small-size LU with implicit pivoting (this work)
-//   lu_simd        - the same LU routed through the interleaved SIMD
-//                    kernels: same-size classes of the block layout run
-//                    lane-parallel, ragged leftovers take the scalar path;
-//                    numerically identical to `lu` with eager solves
+//   lu_simd        - the same LU at the vector width of options.simd
 //   gauss_huard    - GH factorization, solve reads the factors row-wise
 //   gauss_huard_t  - GH with transpose-friendly factor storage
 //   gje_inversion  - explicit inversion via Gauss-Jordan; application is a
 //                    batched GEMV (the strategy of [4])
 //   cholesky       - batched Cholesky for SPD blocks (the paper's future
 //                    work, Section V); throws if a block is not SPD
+//
+// lu and lu_simd are one pipeline, the interleaved lane path: every
+// same-size class of the block layout is one lane group, factorized and
+// solved chunk by chunk (`lanes` blocks per vector instruction), with
+// identity matrices padding the last chunk of a class -- so a class of
+// one block is one padded chunk. lu builds it for the scalar ISA (one
+// lane), lu_simd for the requested ISA; the lane kernels round exactly
+// like the scalar getrf_implicit / getrs_single (eager), so both keys
+// give the same bits on every ISA. Recovery refactorizes a degenerate
+// block with the scalar kernels and repacks it into its group. The
+// other backends run one scalar kernel per block.
 #pragma once
 
 #include <memory>
@@ -24,7 +32,6 @@
 #include "base/timer.hpp"
 #include "blocking/extraction.hpp"
 #include "blocking/gather_plan.hpp"
-#include "blocking/size_classes.hpp"
 #include "blocking/supervariable.hpp"
 #include "core/cholesky.hpp"
 #include "core/gauss_huard.hpp"
@@ -44,6 +51,9 @@ enum class BlockJacobiBackend { lu, lu_simd, gauss_huard, gauss_huard_t,
 
 std::string backend_name(BlockJacobiBackend backend);
 
+/// Butterfly recursion depth of the PivotScheme::rbt fast path.
+inline constexpr index_type rbt_depth = 2;
+
 /// The complete symbolic (pattern-only) state of a block-Jacobi setup:
 /// block layout, extraction gather plan, interleaved group shapes +
 /// lane gather maps, and the fused task lists. Everything in here
@@ -57,15 +67,16 @@ struct BlockJacobiSymbolic {
     /// Cached CSR -> block extraction plan (carries the 64-bit pattern
     /// fingerprint adoption is validated against).
     blocking::GatherPlan plan;
-    /// ISA the lane-path groups were built for; scalar when lanes == 1.
+    /// ISA the lane-path groups were built for (scalar for lu and for
+    /// every non-lane backend).
     core::SimdIsa isa = core::SimdIsa::scalar;
     /// Matrices per vector instruction (1 on the scalar ISA and for every
     /// non-lane backend).
     index_type lanes = 1;
-    /// Built for the lu_simd backend: blocks are owned by the groups'
-    /// chunk tasks plus the scalar_blocks leftovers. False = every block
-    /// takes the scalar path. Not implied by lanes: lu_simd on the
-    /// scalar ISA builds 1-lane groups.
+    /// Built for the lu / lu_simd backends: every block of order >= 1 is
+    /// owned by one chunk task of its size class's group. False = every
+    /// block takes the scalar per-block path. Not implied by lanes: lu
+    /// builds 1-lane groups.
     bool lane_path = false;
     /// The agglomeration bound the layout was derived under.
     index_type max_block_size = 0;
@@ -83,23 +94,13 @@ struct BlockJacobiSymbolic {
         size_type chunks = 0;
     };
     std::vector<Group> groups;
-    /// Ragged leftovers taking the scalar path (lane path only).
-    std::vector<size_type> scalar_blocks;
-    /// i-th block of the scalar path: every block in order off the lane
-    /// path, the ragged leftovers on it.
-    size_type scalar_block(size_type i) const {
-        return lane_path ? scalar_blocks[static_cast<std::size_t>(i)] : i;
-    }
-    size_type scalar_count() const {
-        return lane_path ? static_cast<size_type>(scalar_blocks.size())
-                         : layout->count();
-    }
-    /// Blocks solved through the interleaved lanes.
+    /// Blocks solved through the interleaved lanes (every block of
+    /// order >= 1 on the lane path; size-0 blocks carry no work).
     size_type simd_block_count = 0;
 
-    /// One unit of fused numeric work: either chunk `chunk` of
-    /// groups[group] (group != no_group) or a scalar block range
-    /// [lo, hi).
+    /// One unit of fused numeric work: chunk `chunk` of groups[group] on
+    /// the lane path (where the list doubles as the apply task list), a
+    /// scalar block range [lo, hi) off it (group == no_group).
     struct Task {
         size_type group = no_group;
         size_type chunk = 0;
@@ -108,12 +109,6 @@ struct BlockJacobiSymbolic {
     };
     static constexpr size_type no_group = -1;
     std::vector<Task> tasks;
-    /// Every group's chunks flattened (the lane-path apply task list).
-    struct Chunk {
-        size_type group;
-        size_type chunk;
-    };
-    std::vector<Chunk> apply_chunks;
 
     /// Build-time attribution (copied into SetupPhases when a
     /// preconditioner builds its own symbolic; adoption costs zero).
@@ -132,11 +127,9 @@ struct BlockJacobiOptions {
     /// Upper bound for the supervariable agglomeration (Table I sweeps
     /// {8, 12, 16, 24, 32}).
     index_type max_block_size = 32;
-    /// Eager or lazy triangular solves (LU backend only; lu_simd always
-    /// solves eagerly, which is the variant the paper selects).
-    core::TrsvVariant trsv_variant = core::TrsvVariant::eager;
     /// Instruction set for the lu_simd backend (clamped by availability;
-    /// defaults to the widest the machine supports).
+    /// defaults to the widest the machine supports). Triangular solves
+    /// are always eager, the variant the paper selects.
     core::SimdIsa simd = core::detect_simd_isa();
     /// Pivoting scheme of the lu / lu_simd backends. PivotScheme::rbt
     /// preprocesses every block with a seeded random butterfly transform
@@ -148,9 +141,6 @@ struct BlockJacobiOptions {
     /// Butterfly seed for pivot == PivotScheme::rbt (default:
     /// VBATCH_RBT_SEED when set, else 42).
     std::uint64_t rbt_seed = core::default_rbt_seed();
-    /// Butterfly recursion depth for pivot == PivotScheme::rbt (clamped
-    /// to [1, core::rbt::max_rbt_depth]).
-    index_type rbt_depth = 2;
     /// Parallelize setup/application over the blocks.
     bool parallel = true;
     /// Reuse a precomputed block structure instead of running
@@ -164,7 +154,7 @@ struct BlockJacobiOptions {
     /// Adopt a prebuilt symbolic analysis (see
     /// build_block_jacobi_symbolic) instead of running blocking +
     /// analysis here. The instance must have been built for the same
-    /// pattern, block bound, and -- for lu_simd -- the same ISA/lane
+    /// pattern, block bound, and -- for lu / lu_simd -- the same ISA/lane
     /// width as this setup; adoption validates all of that and throws
     /// vbatch::BadParameter on a mismatch. Takes precedence over
     /// `layout`. Empty = analyze locally.
@@ -175,8 +165,9 @@ struct BlockJacobiOptions {
 /// `options` (blocking, gather-plan analysis, size-class bucketing,
 /// lane gather maps, fused task lists) and return it as an immutable
 /// shareable object. T matters only through the lane width of the
-/// lu_simd backend; every scalar-path backend of either precision can
-/// adopt the same instance.
+/// lu_simd backend; lu and scalar-ISA lu_simd build the same instance,
+/// and every other backend of either precision can adopt one scalar-path
+/// instance.
 template <typename T>
 BlockJacobiSymbolicPtr build_block_jacobi_symbolic(
     const sparse::Csr<T>& a, const BlockJacobiOptions& options);
@@ -203,7 +194,7 @@ public:
     /// from the one analyzed at construction.
     void refresh(const sparse::Csr<T>& a) override;
 
-    /// z := M^{-1} r. Performs no heap allocation: the lu_simd path runs
+    /// z := M^{-1} r. Performs no heap allocation: the lane path runs
     /// on persistent per-group workspaces and precomputed row-offset maps
     /// built at setup. Consequently apply is NOT safe to call concurrently
     /// on the same object (distinct objects are fine); the Krylov solvers
@@ -287,8 +278,8 @@ public:
     /// not retained); cost O(sum m_i^3), intended for analysis runs.
     Diagnostics diagnostics(const sparse::Csr<T>& a) const;
 
-    /// Blocks solved through the interleaved lanes (lu_simd backend only;
-    /// the remainder takes the scalar per-block path).
+    /// Blocks solved through the interleaved lanes (lu / lu_simd: every
+    /// block of order >= 1; zero for the other backends).
     size_type num_simd_blocks() const noexcept {
         return sym_ ? sym_->simd_block_count : 0;
     }
@@ -328,20 +319,13 @@ private:
     /// blocks into the persistent storage, then breakdown recovery.
     /// Shared by construction and refresh(); resets all numeric state.
     void run_numeric(const sparse::Csr<T>& a);
-    /// Build the persistent rhs workspaces, offset maps and the flat
-    /// chunk-task list apply_simd dispatches over (setup-time only).
-    void build_apply_workspaces();
-    void apply_simd(std::span<const T> r, std::span<T> z) const;
+    void apply_lanes(std::span<const T> r, std::span<T> z) const;
     /// Degeneracy scan + boost/fallback pipeline (non-strict setup only).
     void recover(std::span<const T> values, core::FactorizeStatus& status);
     /// Run the backend's single-block factorization on block b in place;
-    /// fills the pivot statistics when `info` is non-null.
+    /// fills the pivot statistics when `info` is non-null. For lu /
+    /// lu_simd this is the recovery kernel (getrf_implicit).
     index_type factorize_block(size_type b, core::FactorInfo* info);
-    /// Scalar fast-path factorization of one RBT block: pristine entry
-    /// stats, butterfly transform, identity pivots, pivot-free LU,
-    /// post-hoc diagonal pivot scan -- the op-for-op scalar mirror of
-    /// the lane chunk pipeline, so both paths report identical bits.
-    index_type factorize_block_rbt(size_type b, core::FactorInfo* info);
     bool rbt_enabled() const noexcept {
         return options_.pivot == PivotScheme::rbt;
     }
@@ -393,7 +377,7 @@ private:
     /// Blocks that left the fast path but hold usable *pivoted* factors
     /// (recovered clean or boosted). Their lanes still run the group's
     /// pivot-free solve; a per-apply fix-up pass re-solves them through
-    /// the scalar pivoted path.
+    /// the scalar pivoted solve.
     std::vector<size_type> rbt_pivoted_blocks_;
     /// Blocks the degeneracy monitor flagged on the fast path, and the
     /// subset (currently all of them) refactorized off it.

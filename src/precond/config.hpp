@@ -4,7 +4,7 @@
 // BlockJacobiBackend (plus special cases for "none" and scalar Jacobi)
 // each time they built a preconditioner. The Config + make_preconditioner
 // pair centralizes that: one POD carries every knob (backend key, block
-// bound, solve variant, SIMD ISA, recovery policy, precomputed layout),
+// bound, SIMD ISA, pivoting, recovery policy, precomputed layout),
 // and the registry maps backend keys to constructors so downstream tools
 // never switch on the backend enum again.
 //
@@ -22,7 +22,6 @@
 #include "core/batch_layout.hpp"
 #include "core/rbt.hpp"
 #include "core/simd_dispatch.hpp"
-#include "core/trsv.hpp"
 #include "precond/preconditioner.hpp"
 #include "precond/recovery.hpp"
 #include "sparse/csr.hpp"
@@ -39,8 +38,6 @@ struct Config {
     std::string backend = "lu";
     /// Upper bound for the supervariable agglomeration.
     index_type max_block_size = 32;
-    /// Eager or lazy triangular solves (LU backend).
-    core::TrsvVariant trsv_variant = core::TrsvVariant::eager;
     /// Instruction set for the "lu-simd" backend.
     core::SimdIsa simd = core::detect_simd_isa();
     /// Parallelize setup/application over the blocks.
@@ -52,9 +49,6 @@ struct Config {
     /// Butterfly seed for pivot == PivotScheme::rbt (default:
     /// VBATCH_RBT_SEED when set, else 42).
     std::uint64_t rbt_seed = core::default_rbt_seed();
-    /// Butterfly recursion depth for pivot == PivotScheme::rbt (clamped
-    /// to [1, core::rbt::max_rbt_depth]).
-    index_type rbt_depth = 2;
     /// Per-block breakdown handling (block-Jacobi backends).
     RecoveryPolicy recovery;
     /// Reuse a precomputed block structure (empty = detect).

@@ -46,8 +46,10 @@ struct PlanKey {
     index_type num_rows = 0;
     size_type nnz = 0;
     index_type max_block_size = 0;
-    /// lu-simd symbolic (groups + leftovers) vs all-scalar; lu-simd on
-    /// the scalar ISA has the same (isa, lanes) as a non-lane backend.
+    /// LU-family symbolic (every block in a lane group) vs the
+    /// scalar-path one of the other backends. The two differ even at
+    /// (scalar, 1 lane): "lu" and scalar-ISA "lu-simd" build one and the
+    /// same lane-path symbolic, "gh" and friends the group-free one.
     bool lane_path = false;
     core::SimdIsa isa = core::SimdIsa::scalar;
     index_type lanes = 1;
@@ -109,17 +111,13 @@ public:
         key.num_rows = a.num_rows();
         key.nnz = a.nnz();
         key.max_block_size = config.max_block_size;
+        key.lane_path = config.backend == "lu" || config.backend == "lu-simd";
         if (config.backend == "lu-simd") {
-            // Mirror the builder's clamp so the key names the ISA the
-            // symbolic will actually be built for.
-            auto isa = config.simd;
-            if (!core::simd_isa_available(isa)) {
-                isa = core::detect_simd_isa();
-            }
-            key.lane_path = true;
-            key.isa = isa;
-            key.lanes = core::simd_lanes<T>(isa);
+            // The builder's clamp, so the key names the ISA the symbolic
+            // will actually be built for ("lu" is the scalar ISA).
+            key.isa = core::resolve_simd_isa(config.simd);
         }
+        key.lanes = core::simd_lanes<T>(key.isa);
         return key;
     }
 

@@ -1,0 +1,261 @@
+// Scalar reference for the block-Jacobi lu / lu-simd backends.
+//
+// Both keys run the interleaved lane pipeline. This helper is what they
+// are held to: the core scalar kernels run block by block on
+// extract_diagonal_blocks -- getrf_implicit / getrs_single, or under
+// PivotScheme::rbt the RbtTransforms scalar transforms with
+// getrf_nopivot / getrs_single_nopivot -- followed by the recovery chain
+// written out once more (RBT fallback to pivoting, diagonal boosting,
+// scalar-Jacobi fallback, identity). Factors, pivots, statuses and the
+// application must match the preconditioner bit for bit.
+#pragma once
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <span>
+#include <string>
+#include <vector>
+
+#include "blocking/extraction.hpp"
+#include "core/getrf.hpp"
+#include "core/rbt.hpp"
+#include "core/trsv.hpp"
+#include "precond/block_jacobi.hpp"
+
+namespace vbatch::reference {
+
+template <typename T>
+struct LuReference {
+    core::BatchedMatrices<T> factors;
+    core::BatchedPivots pivots;
+    std::vector<core::BlockStatus> status;
+    /// Block b solves through its butterfly-transformed factors.
+    std::vector<char> rbt_applied;
+    /// Per-row inverse diagonal of fell-back / singular blocks.
+    std::vector<T> inv_diag;
+    core::RbtTransforms<T> rbt;
+
+    void apply(std::span<const T> r, std::span<T> z) const {
+        const auto& layout = factors.layout();
+        for (size_type b = 0; b < layout.count(); ++b) {
+            const auto off = static_cast<std::size_t>(layout.row_offset(b));
+            const auto m = static_cast<std::size_t>(layout.size(b));
+            const std::span<T> zb = z.subspan(off, m);
+            const auto s = status[static_cast<std::size_t>(b)];
+            for (std::size_t i = 0; i < m; ++i) {
+                zb[i] = r[off + i];
+            }
+            if (s == core::BlockStatus::fell_back ||
+                s == core::BlockStatus::singular) {
+                for (std::size_t i = 0; i < m; ++i) {
+                    zb[i] = r[off + i] * inv_diag[off + i];
+                }
+            } else if (rbt_applied[static_cast<std::size_t>(b)] != 0) {
+                rbt.forward(b, zb);
+                core::getrs_single_nopivot(factors.view(b), zb);
+                rbt.backward(b, zb);
+            } else {
+                core::getrs_single(factors.view(b), pivots.span(b), zb);
+            }
+        }
+    }
+};
+
+/// Factorize the diagonal blocks of `a` under `layout` the way the lu
+/// backends must, with the scalar kernels and a RecoveryPolicy of
+/// Mode::full (the default) -- the chain that never throws.
+template <typename T>
+LuReference<T> lu_reference(
+    const sparse::Csr<T>& a, const core::BatchLayoutPtr& layout,
+    precond::PivotScheme pivot = precond::PivotScheme::implicit,
+    std::uint64_t seed = core::default_rbt_seed(),
+    const precond::RecoveryPolicy& policy = {}) {
+    const bool use_rbt = pivot == precond::PivotScheme::rbt;
+    const auto pristine = blocking::extract_diagonal_blocks(a, layout);
+    LuReference<T> ref{pristine.clone(), core::BatchedPivots(layout),
+                       {}, {}, {}, core::RbtTransforms<T>(seed,
+                                                          precond::rbt_depth)};
+    const size_type nb = layout->count();
+    ref.status.assign(static_cast<std::size_t>(nb), core::BlockStatus::ok);
+    ref.rbt_applied.assign(static_cast<std::size_t>(nb), use_rbt ? 1 : 0);
+    const double eps = static_cast<double>(std::numeric_limits<T>::epsilon());
+    const double select_tol = use_rbt ? policy.effective_tol_rbt(eps)
+                                      : policy.effective_tol(eps);
+    const double tol = policy.effective_tol(eps);
+    constexpr double inf = std::numeric_limits<double>::infinity();
+
+    for (size_type b = 0; b < nb; ++b) {
+        auto v = ref.factors.view(b);
+        auto p = ref.pivots.span(b);
+        const auto src = pristine.view(b);
+        const index_type m = v.rows();
+        const auto restore = [&] {
+            for (index_type j = 0; j < m; ++j) {
+                for (index_type i = 0; i < m; ++i) {
+                    v(i, j) = src(i, j);
+                }
+            }
+        };
+        core::FactorInfo fi;
+        if (use_rbt) {
+            // Pristine entry statistics, butterfly transform, identity
+            // pivots, pivot-free LU, then |u_kk| as the pivot sequence.
+            for (index_type j = 0; j < m; ++j) {
+                for (index_type i = 0; i < m; ++i) {
+                    const double av = std::abs(static_cast<double>(v(i, j)));
+                    if (av < inf) {
+                        fi.max_entry = std::max(fi.max_entry, av);
+                    } else {
+                        fi.finite = false;
+                    }
+                }
+            }
+            ref.rbt.transform_block(b, v);
+            for (index_type k = 0; k < m; ++k) {
+                p[static_cast<std::size_t>(k)] = k;
+            }
+            fi.step = core::getrf_nopivot(v);
+            if (fi.step != 0) {
+                fi.min_pivot = 0.0;
+            } else {
+                for (index_type k = 0; k < m; ++k) {
+                    const double d = std::abs(static_cast<double>(v(k, k)));
+                    if (d < inf) {
+                        fi.min_pivot = std::min(fi.min_pivot, d);
+                        fi.max_pivot = std::max(fi.max_pivot, d);
+                    } else {
+                        fi.finite = false;
+                    }
+                }
+            }
+        } else {
+            core::getrf_implicit(v, p, fi);
+        }
+        if (!fi.degenerate(select_tol)) {
+            continue;
+        }
+
+        const double scale =
+            (fi.finite && fi.max_entry > 0.0) ? fi.max_entry : 0.0;
+        if (use_rbt) {
+            ref.rbt_applied[static_cast<std::size_t>(b)] = 0;
+            if (scale > 0.0) {
+                restore();
+                core::FactorInfo fp;
+                if (core::getrf_implicit(v, p, fp) == 0 &&
+                    !fp.degenerate(tol)) {
+                    continue;
+                }
+            }
+        }
+        bool boosted = false;
+        if (scale > 0.0) {
+            double tau = policy.boost_scale * scale;
+            for (index_type attempt = 0; attempt < policy.max_boosts;
+                 ++attempt, tau *= policy.boost_growth) {
+                restore();
+                for (index_type k = 0; k < m; ++k) {
+                    v(k, k) += static_cast<T>(tau);
+                }
+                core::FactorInfo fb;
+                if (core::getrf_implicit(v, p, fb) == 0 &&
+                    !fb.degenerate(tol)) {
+                    boosted = true;
+                    break;
+                }
+            }
+        }
+        if (boosted) {
+            ref.status[static_cast<std::size_t>(b)] =
+                core::BlockStatus::boosted;
+            continue;
+        }
+        if (ref.inv_diag.empty()) {
+            ref.inv_diag.assign(static_cast<std::size_t>(layout->total_rows()),
+                                T{1});
+        }
+        const auto off = static_cast<std::size_t>(layout->row_offset(b));
+        bool any_diag = false;
+        for (index_type i = 0; i < m; ++i) {
+            const T d = src(i, i);
+            const bool usable = std::isfinite(static_cast<double>(d)) &&
+                                d != T{};
+            ref.inv_diag[off + static_cast<std::size_t>(i)] =
+                usable ? T{1} / d : T{1};
+            any_diag = any_diag || usable;
+        }
+        ref.status[static_cast<std::size_t>(b)] =
+            any_diag ? core::BlockStatus::fell_back
+                     : core::BlockStatus::singular;
+        for (index_type j = 0; j < m; ++j) {
+            for (index_type i = 0; i < m; ++i) {
+                v(i, j) = i == j ? T{1} : T{};
+            }
+        }
+        for (index_type k = 0; k < m; ++k) {
+            p[static_cast<std::size_t>(k)] = k;
+        }
+    }
+    return ref;
+}
+
+/// Bitwise comparison of a lu / lu-simd preconditioner with its scalar
+/// reference: factors, pivots, per-block status and RBT routing, and the
+/// application of `r`.
+template <typename T>
+::testing::AssertionResult matches_lu_reference(
+    const precond::BlockJacobi<T>& prec, const LuReference<T>& ref,
+    std::span<const T> r) {
+    const auto& layout = ref.factors.layout();
+    if (prec.layout().sizes() != layout.sizes()) {
+        return ::testing::AssertionFailure() << "block layouts differ";
+    }
+    for (size_type b = 0; b < layout.count(); ++b) {
+        const auto got = prec.factors().view(b);
+        const auto want = ref.factors.view(b);
+        for (index_type j = 0; j < got.cols(); ++j) {
+            for (index_type i = 0; i < got.rows(); ++i) {
+                if (got(i, j) != want(i, j)) {
+                    return ::testing::AssertionFailure()
+                           << "factor (" << i << ", " << j << ") of block "
+                           << b << ": " << got(i, j) << " vs " << want(i, j);
+                }
+            }
+        }
+        const auto gp = prec.pivots().span(b);
+        const auto wp = ref.pivots.span(b);
+        if (!std::equal(gp.begin(), gp.end(), wp.begin())) {
+            return ::testing::AssertionFailure()
+                   << "pivots of block " << b << " differ";
+        }
+        const auto bi = static_cast<std::size_t>(b);
+        if (prec.block_status()[bi] != ref.status[bi]) {
+            return ::testing::AssertionFailure()
+                   << "status of block " << b << ": "
+                   << static_cast<int>(prec.block_status()[bi]) << " vs "
+                   << static_cast<int>(ref.status[bi]);
+        }
+        if (prec.rbt_applied(b) != (ref.rbt_applied[bi] != 0)) {
+            return ::testing::AssertionFailure()
+                   << "RBT routing of block " << b << " differs";
+        }
+    }
+    std::vector<T> z_got(r.size());
+    std::vector<T> z_want(r.size());
+    prec.apply(r, std::span<T>(z_got));
+    ref.apply(r, std::span<T>(z_want));
+    for (std::size_t i = 0; i < r.size(); ++i) {
+        if (z_got[i] != z_want[i]) {
+            return ::testing::AssertionFailure()
+                   << "apply row " << i << ": " << z_got[i] << " vs "
+                   << z_want[i];
+        }
+    }
+    return ::testing::AssertionSuccess();
+}
+
+}  // namespace vbatch::reference

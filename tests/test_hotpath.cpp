@@ -23,6 +23,7 @@
 #include "solvers/cg.hpp"
 #include "solvers/idr.hpp"
 #include "sparse/generators.hpp"
+#include "lu_reference.hpp"
 
 // ---------------------------------------------------------------------
 // Global allocation counter (for the zero-allocation apply test). All
@@ -502,23 +503,27 @@ TEST(IdrSolve, IterationsPerformNoHeapAllocations) {
 }
 
 TEST(BlockJacobiApply, SimdPathMatchesScalarBackendBitwise) {
+    // Both LU keys apply exactly like the scalar getrs_single run block
+    // by block on the same factors.
     const auto a = sparse::circuit_like<double>(900, 5, 4, 60, 21);
-    precond::BlockJacobiOptions scalar_opts;
-    scalar_opts.backend = precond::BlockJacobiBackend::lu;
-    const precond::BlockJacobi<double> scalar(a, scalar_opts);
-    precond::BlockJacobiOptions simd_opts;
-    simd_opts.backend = precond::BlockJacobiBackend::lu_simd;
-    const precond::BlockJacobi<double> simd(a, simd_opts);
     const auto nz = static_cast<std::size_t>(a.num_rows());
     const auto r = random_vec(nz, 32);
-    std::vector<double> z1(nz), z2(nz);
-    scalar.apply(cspan(r), std::span<double>(z1));
-    simd.apply(cspan(r), std::span<double>(z2));
-    EXPECT_EQ(z1, z2);
-    // Applying twice through the persistent workspace must be idempotent.
-    std::vector<double> z3(nz);
-    simd.apply(cspan(r), std::span<double>(z3));
-    EXPECT_EQ(z2, z3);
+    for (const auto backend : {precond::BlockJacobiBackend::lu,
+                               precond::BlockJacobiBackend::lu_simd}) {
+        precond::BlockJacobiOptions opts;
+        opts.backend = backend;
+        const precond::BlockJacobi<double> prec(a, opts);
+        const auto ref =
+            reference::lu_reference(a, prec.symbolic()->layout);
+        EXPECT_TRUE(reference::matches_lu_reference(prec, ref, cspan(r)))
+            << prec.name();
+        // Applying twice through the persistent workspace must be
+        // idempotent.
+        std::vector<double> z1(nz), z2(nz);
+        prec.apply(cspan(r), std::span<double>(z1));
+        prec.apply(cspan(r), std::span<double>(z2));
+        EXPECT_EQ(z1, z2) << prec.name();
+    }
 }
 
 // ---------------------------------------------------------------------

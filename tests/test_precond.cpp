@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "blas/dense_matrix.hpp"
@@ -12,6 +13,7 @@
 #include "precond/preconditioner.hpp"
 #include "precond/scalar_jacobi.hpp"
 #include "sparse/generators.hpp"
+#include "lu_reference.hpp"
 
 namespace vbatch::precond {
 namespace {
@@ -92,59 +94,143 @@ INSTANTIATE_TEST_SUITE_P(Backends, BlockJacobiBackends,
                                            BlockJacobiBackend::gauss_huard_t,
                                            BlockJacobiBackend::gje_inversion));
 
+/// Both LU keys on every available ISA: lu (the scalar ISA) and lu-simd
+/// pinned to each ISA.
+std::vector<BlockJacobiOptions> lu_family_options() {
+    std::vector<BlockJacobiOptions> all;
+    BlockJacobiOptions lu;
+    lu.backend = BlockJacobiBackend::lu;
+    all.push_back(lu);
+    for (const auto isa : core::available_simd_isas()) {
+        BlockJacobiOptions simd;
+        simd.backend = BlockJacobiBackend::lu_simd;
+        simd.simd = isa;
+        all.push_back(simd);
+    }
+    return all;
+}
+
 TEST(BlockJacobi, SimdBackendMatchesScalarLuBitwise) {
+    // lu and lu-simd are one lane pipeline; on every ISA its factors,
+    // pivots and application equal the scalar getrf_implicit /
+    // getrs_single run block by block.
     const auto a = sparse::fem_block_matrix<double>(60, 4, 12, 2, 0.2, 29);
     const auto n = static_cast<std::size_t>(a.num_rows());
     std::vector<double> r(n);
     for (std::size_t i = 0; i < n; ++i) {
         r[i] = std::cos(0.3 * static_cast<double>(i));
     }
-    BlockJacobiOptions lu_opts;
-    lu_opts.backend = BlockJacobiBackend::lu;
-    BlockJacobi<double> lu(a, lu_opts);
-    std::vector<double> z_lu(n);
-    lu.apply(std::span<const double>(r), std::span<double>(z_lu));
+    for (const auto& opts : lu_family_options()) {
+        const BlockJacobi<double> prec(a, opts);
+        const auto ref = reference::lu_reference(a, prec.symbolic()->layout);
+        EXPECT_TRUE(reference::matches_lu_reference(
+            prec, ref, std::span<const double>(r)))
+            << prec.name();
+        EXPECT_EQ(prec.num_simd_blocks(), prec.num_blocks());
+        if (opts.backend == BlockJacobiBackend::lu_simd) {
+            EXPECT_EQ(prec.name(),
+                      std::string("block-jacobi(lu-simd[") +
+                          core::simd_isa_name(opts.simd) + "],32)");
+        }
+    }
+}
 
+// Hand-built layout with every lane-grouping edge at once: singleton
+// size classes, a class of lanes + 1 blocks (one full chunk and one
+// padded chunk at the widest ISA), size-1 and size-0 blocks. Three
+// blocks break down, so full recovery runs and repacks their groups: a
+// singular one boosts, a NaN-poisoned one falls back to scalar Jacobi,
+// an all-zero one applies as identity.
+TEST(BlockJacobi, EdgeLayoutsMatchScalarReferenceBitwise) {
+    index_type max_lanes = 1;
     for (const auto isa : core::available_simd_isas()) {
-        BlockJacobiOptions simd_opts;
-        simd_opts.backend = BlockJacobiBackend::lu_simd;
-        simd_opts.simd = isa;
-        BlockJacobi<double> simd(a, simd_opts);
-        // Identical factors and pivots (implicit-pivoting LU is executed
-        // with the same operation order lane-parallel)...
-        ASSERT_EQ(simd.factors().count(), lu.factors().count());
-        for (size_type b = 0; b < lu.factors().count(); ++b) {
-            const auto va = lu.factors().view(b);
-            const auto vb = simd.factors().view(b);
-            for (index_type c = 0; c < va.cols(); ++c) {
-                for (index_type rr = 0; rr < va.rows(); ++rr) {
-                    ASSERT_EQ(va(rr, c), vb(rr, c))
-                        << core::simd_isa_name(isa) << " block " << b;
+        max_lanes = std::max(max_lanes, core::simd_lanes<double>(isa));
+    }
+    std::vector<index_type> sizes = {5, 0, 1, 7, 1, 0, 3};
+    for (index_type k = 0; k <= max_lanes; ++k) {
+        sizes.push_back(4);
+        if (k % 3 == 0) {
+            sizes.push_back(1);
+        }
+    }
+    sizes.push_back(0);
+    sizes.push_back(12);
+    const auto layout = core::make_layout(sizes);
+    const auto nrows = layout->total_rows();
+    // Dense, diagonally weighted blocks with a few off-block couplings;
+    // rows 0 and 1 of the 5x5 block 0 are equal (singular, boostable),
+    // the 3x3 block 6 holds a NaN off its diagonal.
+    const auto entry = [](size_type b, index_type i, index_type j) {
+        return i == j ? 3.0 + 0.1 * static_cast<double>(b)
+                      : std::sin(1.0 + static_cast<double>(7 * i + 3 * j +
+                                                           b));
+    };
+    std::vector<sparse::Triplet<double>> trips;
+    for (size_type b = 0; b < layout->count(); ++b) {
+        const auto r0 = static_cast<index_type>(layout->row_offset(b));
+        const index_type m = layout->size(b);
+        for (index_type i = 0; i < m; ++i) {
+            for (index_type j = 0; j < m; ++j) {
+                const index_type src = (b == 0 && i == 1) ? 0 : i;
+                const double v =
+                    (b == 6 && i == 0 && j == 1)
+                        ? std::numeric_limits<double>::quiet_NaN()
+                        : entry(b, src, j);
+                trips.push_back({r0 + i, r0 + j, v});
+            }
+        }
+    }
+    for (index_type i = 0; i + 5 < nrows; i += 5) {
+        trips.push_back({i, i + 5, 0.25});
+    }
+    auto a = sparse::Csr<double>::from_triplets(nrows, nrows, trips);
+    // Zero the 7x7 block: singular on the fast and the pivoted path
+    // alike, and with no scale to boost by.
+    const auto singular_block = 3;
+    ASSERT_EQ(layout->size(singular_block), 7);
+    {
+        std::vector<double> vals(a.values().begin(), a.values().end());
+        const auto r0 =
+            static_cast<index_type>(layout->row_offset(singular_block));
+        for (index_type i = r0; i < r0 + 7; ++i) {
+            const auto row = static_cast<std::size_t>(i);
+            for (auto e = a.row_ptrs()[row]; e < a.row_ptrs()[row + 1];
+                 ++e) {
+                const auto c = a.col_idxs()[static_cast<std::size_t>(e)];
+                if (c >= r0 && c < r0 + 7) {
+                    vals[static_cast<std::size_t>(e)] = 0.0;
                 }
             }
-            const auto pa = lu.pivots().span(b);
-            const auto pb = simd.pivots().span(b);
-            for (std::size_t k = 0; k < pa.size(); ++k) {
-                ASSERT_EQ(pa[k], pb[k]);
-            }
         }
-        // ...and a bitwise-identical application.
-        std::vector<double> z_simd(n);
-        simd.apply(std::span<const double>(r), std::span<double>(z_simd));
-        for (std::size_t i = 0; i < n; ++i) {
-            ASSERT_EQ(z_lu[i], z_simd[i])
-                << core::simd_isa_name(isa) << " row " << i;
+        a.set_values(std::span<const double>(vals));
+    }
+    std::vector<double> r(static_cast<std::size_t>(nrows));
+    for (std::size_t i = 0; i < r.size(); ++i) {
+        r[i] = 1.0 + std::cos(0.7 * static_cast<double>(i));
+    }
+    for (const auto pivot : {PivotScheme::implicit, PivotScheme::rbt}) {
+        const auto ref = reference::lu_reference(a, layout, pivot);
+        EXPECT_EQ(ref.status[0], core::BlockStatus::boosted);
+        EXPECT_EQ(ref.status[6], core::BlockStatus::fell_back);
+        EXPECT_EQ(ref.status[singular_block], core::BlockStatus::singular);
+        for (auto opts : lu_family_options()) {
+            opts.layout = layout;
+            opts.pivot = pivot;
+            const BlockJacobi<double> prec(a, opts);
+            EXPECT_TRUE(reference::matches_lu_reference(
+                prec, ref, std::span<const double>(r)))
+                << prec.name();
+            EXPECT_EQ(prec.recovery_summary().boosted, 1) << prec.name();
+            EXPECT_EQ(prec.recovery_summary().fell_back, 1) << prec.name();
+            EXPECT_EQ(prec.recovery_summary().singular, 1) << prec.name();
         }
-        EXPECT_LE(simd.num_simd_blocks(), simd.num_blocks());
-        EXPECT_EQ(simd.name(), std::string("block-jacobi(lu-simd[") +
-                                   core::simd_isa_name(isa) + "],32)");
     }
 }
 
 // The fused numeric pass gathers and factorizes each block in place, so
 // two tasks owning one block race on its factor storage. Every block
 // must have exactly one writer task -- on every ISA, including scalar,
-// where lu-simd builds 1-lane groups.
+// where lu and lu-simd build 1-lane groups.
 TEST(BlockJacobi, SymbolicGivesEveryBlockOneWriterTask) {
     const auto a = sparse::fem_block_matrix<double>(60, 4, 12, 2, 0.2, 29);
     const auto count_writers = [](const BlockJacobiSymbolic& sym) {
@@ -163,44 +249,49 @@ TEST(BlockJacobi, SymbolicGivesEveryBlockOneWriterTask) {
                     ++writers[static_cast<std::size_t>(g.indices[l])];
                 }
             } else {
-                for (auto i = task.lo; i < task.hi; ++i) {
-                    ++writers[static_cast<std::size_t>(
-                        sym.scalar_block(i))];
+                for (auto b = task.lo; b < task.hi; ++b) {
+                    ++writers[static_cast<std::size_t>(b)];
                 }
             }
         }
         return writers;
     };
-    BlockJacobiOptions lu_opts;
-    lu_opts.backend = BlockJacobiBackend::lu;
-    const auto lu_sym = build_block_jacobi_symbolic(a, lu_opts);
-    EXPECT_FALSE(lu_sym->lane_path);
-    for (const int w : count_writers(*lu_sym)) {
-        ASSERT_EQ(w, 1) << "lu";
+    BlockJacobiOptions gh_opts;
+    gh_opts.backend = BlockJacobiBackend::gauss_huard;
+    const auto gh_sym = build_block_jacobi_symbolic(a, gh_opts);
+    EXPECT_FALSE(gh_sym->lane_path);
+    for (const int w : count_writers(*gh_sym)) {
+        ASSERT_EQ(w, 1) << "gh";
     }
-    for (const auto isa : core::available_simd_isas()) {
-        BlockJacobiOptions opts;
-        opts.backend = BlockJacobiBackend::lu_simd;
-        opts.simd = isa;
+    for (const auto& opts : lu_family_options()) {
         const auto sym = build_block_jacobi_symbolic(a, opts);
+        const auto isa = core::simd_isa_name(sym->isa);
         EXPECT_TRUE(sym->lane_path);
-        EXPECT_FALSE(sym->groups.empty()) << core::simd_isa_name(isa);
+        EXPECT_FALSE(sym->groups.empty()) << isa;
         const auto writers = count_writers(*sym);
         for (std::size_t b = 0; b < writers.size(); ++b) {
-            ASSERT_EQ(writers[b], 1)
-                << core::simd_isa_name(isa) << " block " << b;
+            ASSERT_EQ(writers[b], 1) << isa << " block " << b;
         }
         // A lane-path symbolic is never adopted by a scalar-path
-        // backend (nor the reverse), whatever its lane count.
-        BlockJacobiOptions adopt = lu_opts;
+        // backend (nor the reverse), whatever its lane count...
+        BlockJacobiOptions adopt = gh_opts;
         adopt.symbolic = sym;
-        EXPECT_THROW(BlockJacobi<double>(a, adopt), BadParameter)
-            << core::simd_isa_name(isa);
+        EXPECT_THROW(BlockJacobi<double>(a, adopt), BadParameter) << isa;
+        // ...while lu and lu-simd adopt each other's exactly when they
+        // run at the same ISA.
+        BlockJacobiOptions adopt_lu;
+        adopt_lu.symbolic = sym;
+        if (sym->isa == core::SimdIsa::scalar) {
+            EXPECT_NO_THROW(BlockJacobi<double>(a, adopt_lu)) << isa;
+        } else {
+            EXPECT_THROW(BlockJacobi<double>(a, adopt_lu), BadParameter)
+                << isa;
+        }
     }
     BlockJacobiOptions adopt_scalar;
     adopt_scalar.backend = BlockJacobiBackend::lu_simd;
     adopt_scalar.simd = core::SimdIsa::scalar;
-    adopt_scalar.symbolic = lu_sym;
+    adopt_scalar.symbolic = gh_sym;
     EXPECT_THROW(BlockJacobi<double>(a, adopt_scalar), BadParameter);
 }
 
@@ -288,23 +379,6 @@ TEST(BlockJacobi, NameAndSetupTime) {
     BlockJacobi<double> prec(a, opts);
     EXPECT_EQ(prec.name(), "block-jacobi(gh-t,12)");
     EXPECT_GE(prec.setup_seconds(), 0.0);
-}
-
-TEST(BlockJacobi, TrsvVariantsGiveSameAnswer) {
-    const auto a = sparse::laplacian_2d<double>(6, 6, 3);
-    const auto n = static_cast<std::size_t>(a.num_rows());
-    std::vector<double> r(n, 2.0), z1(n), z2(n);
-    BlockJacobiOptions o1;
-    o1.trsv_variant = core::TrsvVariant::eager;
-    BlockJacobiOptions o2;
-    o2.trsv_variant = core::TrsvVariant::lazy;
-    BlockJacobi<double>(a, o1).apply(std::span<const double>(r),
-                                     std::span<double>(z1));
-    BlockJacobi<double>(a, o2).apply(std::span<const double>(r),
-                                     std::span<double>(z2));
-    for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_NEAR(z1[i], z2[i], 1e-11);
-    }
 }
 
 TEST(BlockJacobi, DiagnosticsReportConditioning) {

@@ -1,10 +1,10 @@
 // Tests for the pivoting-free fast path: butterfly scheme and scalar
 // transforms (core/rbt.hpp), and the PivotScheme::rbt integration of the
 // block-Jacobi lu / lu_simd backends -- solve equivalence against the
-// pivoted reference, bitwise scalar==SIMD agreement, seed determinism,
-// and the degeneracy monitor + pivoted fallback under adversarial
-// (graded near-singular) injection. Registered once per VBATCH_SIMD
-// level via vbatch_add_simd_matrix_test.
+// pivoted reference, bitwise agreement with the scalar kernels on every
+// ISA, seed determinism, and the degeneracy monitor + pivoted fallback
+// under adversarial (graded near-singular) injection. Registered once per
+// VBATCH_SIMD level via vbatch_add_simd_matrix_test.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -20,6 +20,7 @@
 #include "core/rbt.hpp"
 #include "precond/block_jacobi.hpp"
 #include "sparse/generators.hpp"
+#include "lu_reference.hpp"
 
 namespace vbatch {
 namespace {
@@ -251,45 +252,28 @@ TEST(BlockJacobiRbt, SolveMatchesPivotedWithinTolerance) {
 }
 
 TEST(BlockJacobiRbt, SimdBackendMatchesScalarBitwise) {
+    // lu and lu-simd on every ISA against the scalar reference: butterfly
+    // transform + getrf_nopivot per block, forward / getrs_single_nopivot
+    // / backward per solve. The chunk kernels mirror those op for op.
     const auto a = sparse::fem_block_matrix<double>(60, 4, 12, 2, 0.2, 29);
-    const auto n = a.num_rows();
-    const auto r = rhs(n);
-
-    precond::BlockJacobiOptions lu_opts;
-    lu_opts.backend = precond::BlockJacobiBackend::lu;
-    lu_opts.pivot = precond::PivotScheme::rbt;
-    precond::BlockJacobi<double> lu(a, lu_opts);
-    std::vector<double> z_lu(r.size());
-    lu.apply(std::span<const double>(r), std::span<double>(z_lu));
-
+    const auto r = rhs(a.num_rows());
+    std::vector<precond::BlockJacobiOptions> all(1);
+    all[0].backend = precond::BlockJacobiBackend::lu;
     for (const auto isa : core::available_simd_isas()) {
-        precond::BlockJacobiOptions simd_opts = lu_opts;
-        simd_opts.backend = precond::BlockJacobiBackend::lu_simd;
-        simd_opts.simd = isa;
-        precond::BlockJacobi<double> simd(a, simd_opts);
-        // The scalar driver mirrors the chunk kernels op for op, so the
-        // transformed pivot-free factors agree bitwise...
-        ASSERT_EQ(simd.factors().count(), lu.factors().count());
-        for (size_type b = 0; b < lu.factors().count(); ++b) {
-            const auto va = lu.factors().view(b);
-            const auto vb = simd.factors().view(b);
-            for (index_type c = 0; c < va.cols(); ++c) {
-                for (index_type rr = 0; rr < va.rows(); ++rr) {
-                    ASSERT_EQ(va(rr, c), vb(rr, c))
-                        << core::simd_isa_name(isa) << " block " << b;
-                }
-            }
-            ASSERT_EQ(simd.rbt_applied(b), lu.rbt_applied(b));
-        }
-        EXPECT_EQ(simd.rbt_monitored(), lu.rbt_monitored());
-        EXPECT_EQ(simd.rbt_fellback(), lu.rbt_fellback());
-        // ...and so does the application.
-        std::vector<double> z_simd(r.size());
-        simd.apply(std::span<const double>(r), std::span<double>(z_simd));
-        for (std::size_t i = 0; i < z_simd.size(); ++i) {
-            ASSERT_EQ(z_lu[i], z_simd[i])
-                << core::simd_isa_name(isa) << " row " << i;
-        }
+        precond::BlockJacobiOptions simd;
+        simd.backend = precond::BlockJacobiBackend::lu_simd;
+        simd.simd = isa;
+        all.push_back(simd);
+    }
+    for (auto opts : all) {
+        opts.pivot = precond::PivotScheme::rbt;
+        const precond::BlockJacobi<double> prec(a, opts);
+        const auto ref = reference::lu_reference(
+            a, prec.symbolic()->layout, precond::PivotScheme::rbt,
+            opts.rbt_seed);
+        EXPECT_TRUE(reference::matches_lu_reference(
+            prec, ref, std::span<const double>(r)))
+            << prec.name();
     }
 }
 
@@ -426,6 +410,12 @@ TEST(BlockJacobiRbt, IllcondInjectionFallsBackToPivotedFactors) {
     again.apply(std::span<const double>(r), std::span<double>(z_again));
     EXPECT_EQ(z, z_again);
     EXPECT_EQ(again.rbt_fellback(), fast.rbt_fellback());
+    // The fallen-back blocks equal the scalar kernels' recovery chain.
+    const auto ref = reference::lu_reference(a, layout,
+                                             precond::PivotScheme::rbt,
+                                             rbt_opts.rbt_seed);
+    EXPECT_TRUE(reference::matches_lu_reference(
+        fast, ref, std::span<const double>(r)));
 }
 
 TEST(BlockJacobiRbt, SingularInjectionDegradesLikePivotedPath) {

@@ -1,9 +1,9 @@
 // Tests for the multi-tenant solve service: plan-cache sharing
-// (one build, many reuses), fingerprint isolation, scalar-symbolic
-// sharing across backends, LRU eviction under a byte budget, admission
-// control (reject and block), concurrent request storms bitwise equal
-// to serial execution, update_values equivalence with a fresh setup,
-// the bounded queue, the solver factory, and the thread-safe lazy CSR
+// (one build, many reuses), fingerprint isolation, symbolic sharing
+// across backends that build the same one, LRU eviction under a byte
+// budget, admission control (reject and block), concurrent request
+// storms bitwise equal to serial execution, update_values equivalence
+// with a fresh setup, the solver factory, and the thread-safe lazy CSR
 // partition these pieces lean on.
 #include <gtest/gtest.h>
 
@@ -25,7 +25,6 @@
 #include "precond/block_jacobi.hpp"
 #include "service/engine.hpp"
 #include "service/plan_cache.hpp"
-#include "service/queue.hpp"
 #include "solvers/config.hpp"
 #include "solvers/idr.hpp"
 #include "sparse/generators.hpp"
@@ -121,28 +120,30 @@ TEST(PlanCache, DifferentBlockBoundIsADifferentPlan) {
 }
 
 TEST(PlanCache, ScalarBackendsShareOneSymbolic) {
-    // The scalar-path symbolic (lanes == 1) is backend-independent, so
-    // "lu" and "gh" tenants over one pattern share a single plan.
+    // The scalar-path symbolic (no lane groups) is backend-independent,
+    // so "gh" and "gh-t" tenants over one pattern share a single plan;
+    // an "lu" tenant runs the lane path and builds its own.
     Engine engine;
     const auto a = test_matrix();
-    auto s1 = engine.open_session(a, lu_session("lu"));
-    auto s2 = engine.open_session(a, lu_session("gh"));
-    const auto stats = engine.stats();
-    EXPECT_EQ(stats.cache.builds, 1u);
-    EXPECT_EQ(stats.cache.reuses, 1u);
+    auto s1 = engine.open_session(a, lu_session("gh"));
+    auto s2 = engine.open_session(a, lu_session("gh-t"));
+    EXPECT_EQ(engine.stats().cache.builds, 1u);
+    EXPECT_EQ(engine.stats().cache.reuses, 1u);
+    auto s3 = engine.open_session(a, lu_session("lu"));
+    EXPECT_EQ(engine.stats().cache.builds, 2u);
 }
 
-TEST(PlanCache, ScalarIsaLaneBackendGetsItsOwnPlan) {
-    // lu-simd on the scalar ISA has 1-lane groups, the same (isa, lanes)
-    // as the scalar path, yet a different block ownership: the two must
-    // not share a symbolic.
+TEST(PlanCache, LuSharesThePlanOfScalarIsaLuSimd) {
+    // "lu" is the lane path built for the scalar ISA, so it and lu-simd
+    // pinned to the scalar ISA build the same symbolic and share it.
     Engine engine;
     const auto a = test_matrix();
     auto simd_opts = lu_session("lu-simd");
     simd_opts.precond.simd = core::SimdIsa::scalar;
     auto s1 = engine.open_session(a, simd_opts);
     auto s2 = engine.open_session(a, lu_session("lu"));
-    EXPECT_EQ(engine.stats().cache.builds, 2u);
+    EXPECT_EQ(engine.stats().cache.builds, 1u);
+    EXPECT_EQ(engine.stats().cache.reuses, 1u);
 }
 
 TEST(PlanCache, NoSymbolicBackendBypassesTheCache) {
@@ -487,43 +488,6 @@ TEST(Engine, DrainQuiesces) {
     for (auto& f : futures) {
         EXPECT_TRUE(f.get().accepted);
     }
-}
-
-// -- bounded queue ----------------------------------------------------
-
-TEST(BoundedQueue, FifoOrderAndCapacity) {
-    BoundedQueue<int> q(3);
-    EXPECT_TRUE(q.try_push(1));
-    EXPECT_TRUE(q.try_push(2));
-    EXPECT_TRUE(q.try_push(3));
-    EXPECT_FALSE(q.try_push(4));
-    EXPECT_EQ(q.size(), 3u);
-    EXPECT_EQ(q.pop().value(), 1);
-    EXPECT_TRUE(q.try_push(4));
-    EXPECT_EQ(q.pop().value(), 2);
-    EXPECT_EQ(q.pop().value(), 3);
-    EXPECT_EQ(q.pop().value(), 4);
-    EXPECT_FALSE(q.try_pop().has_value());
-}
-
-TEST(BoundedQueue, CloseDrainsThenReportsEmpty) {
-    BoundedQueue<int> q(2);
-    EXPECT_TRUE(q.push(1));
-    q.close();
-    EXPECT_FALSE(q.push(2));
-    EXPECT_FALSE(q.try_push(2));
-    EXPECT_EQ(q.pop().value(), 1);  // queued items survive close
-    EXPECT_FALSE(q.pop().has_value());
-}
-
-TEST(BoundedQueue, BlockedProducerWakesOnPop) {
-    BoundedQueue<int> q(1);
-    EXPECT_TRUE(q.push(1));
-    std::thread producer([&] { EXPECT_TRUE(q.push(2)); });
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    EXPECT_EQ(q.pop().value(), 1);
-    producer.join();
-    EXPECT_EQ(q.pop().value(), 2);
 }
 
 // -- solver factory ---------------------------------------------------
