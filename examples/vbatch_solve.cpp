@@ -11,14 +11,8 @@
 //     --block-size <1..32>    supervariable bound       (default 32)
 //     --rcm                   reverse Cuthill-McKee pre-ordering
 //     --recovery strict|boost|full   breakdown policy   (default full)
-//     --pivot implicit|rbt    pivoting scheme of the lu/lu-simd backends
-//                             (rbt = butterfly-transformed pivot-free
-//                             fast path)                 (default implicit)
 //     --inject-singular <n>   zero n diagonal blocks before the setup
 //                             (exercises the recovery pipeline)
-//     --inject-illcond <n>    grade n diagonal blocks near-singular (but
-//                             nonsingular; exercises the RBT degeneracy
-//                             monitor + pivoted fallback)
 //     --tol <rel. residual>   stopping tolerance        (default 1e-6)
 //     --max-iters <n>         iteration budget          (default 10000)
 //     --idr-s <s>             IDR shadow dimension      (default 4)
@@ -53,9 +47,7 @@ struct Options {
     std::string recovery = "full";
     vb::index_type block_size = 32;
     bool rcm = false;
-    std::string pivot = "implicit";
     vb::size_type inject_singular = 0;
-    vb::size_type inject_illcond = 0;
     double tol = 1e-6;
     vb::index_type max_iters = 10000;
     vb::index_type idr_s = 4;
@@ -77,8 +69,7 @@ struct Options {
     std::printf(
         "usage: %s [--matrix f.mtx | --suite case] [--solver %s] "
         "[--precond %s] [--block-size n] [--rcm] "
-        "[--recovery strict|boost|full] [--pivot implicit|rbt] "
-        "[--inject-singular n] [--inject-illcond n] [--tol t] "
+        "[--recovery strict|boost|full] [--inject-singular n] [--tol t] "
         "[--max-iters n] [--idr-s s]\n",
         argv0, solvers.c_str(), backends.c_str());
     std::exit(2);
@@ -108,13 +99,8 @@ Options parse(int argc, char** argv) {
             o.rcm = true;
         } else if (arg == "--recovery") {
             o.recovery = next();
-        } else if (arg == "--pivot") {
-            o.pivot = next();
         } else if (arg == "--inject-singular") {
             o.inject_singular =
-                static_cast<vb::size_type>(std::atoi(next()));
-        } else if (arg == "--inject-illcond") {
-            o.inject_illcond =
                 static_cast<vb::size_type>(std::atoi(next()));
         } else if (arg == "--tol") {
             o.tol = std::atof(next());
@@ -184,35 +170,19 @@ int main(int argc, char** argv) {
         config.backend = opts.precond;
         config.max_block_size = opts.block_size;
         config.recovery = recovery_policy(opts, argv[0]);
-        if (opts.pivot == "rbt") {
-            config.pivot = vb::precond::PivotScheme::rbt;
-        } else if (opts.pivot != "implicit") {
-            usage(argv[0]);
-        }
 
         vb::size_type injected = 0;
-        vb::size_type injected_ill = 0;
-        if (opts.inject_singular > 0 || opts.inject_illcond > 0) {
-            // Perturb the in-block values of evenly spaced diagonal
-            // blocks; the pattern (and with it the supervariable layout)
-            // is unchanged, so the setup sees genuinely singular /
-            // graded near-singular blocks.
+        if (opts.inject_singular > 0) {
+            // Zero the in-block values of evenly spaced diagonal blocks;
+            // the pattern (and with it the supervariable layout) is
+            // unchanged, so the setup sees genuinely singular blocks.
             config.layout = vb::blocking::supervariable_layout(
                 a, vb::blocking::BlockingOptions{
                        .max_block_size = opts.block_size});
-            if (opts.inject_singular > 0) {
-                injected = vb::blocking::make_blocks_singular(
-                    a, *config.layout, opts.inject_singular);
-                std::printf("injected %lld singular diagonal blocks\n",
-                            static_cast<long long>(injected));
-            }
-            if (opts.inject_illcond > 0) {
-                injected_ill = vb::blocking::make_blocks_illcond(
-                    a, *config.layout, opts.inject_illcond);
-                std::printf(
-                    "injected %lld ill-conditioned diagonal blocks\n",
-                    static_cast<long long>(injected_ill));
-            }
+            injected = vb::blocking::make_blocks_singular(
+                a, *config.layout, opts.inject_singular);
+            std::printf("injected %lld singular diagonal blocks\n",
+                        static_cast<long long>(injected));
         }
 
         const auto prec =
@@ -256,11 +226,9 @@ int main(int argc, char** argv) {
         report.config("solver", opts.solver);
         report.config("precond", opts.precond);
         report.config("recovery", opts.recovery);
-        report.config("pivot", opts.pivot);
         report.config("n", a.num_rows());
         report.config("block_size", opts.block_size);
         report.config("injected_singular", injected);
-        report.config("injected_illcond", injected_ill);
         report.config("status", to_string(result.status));
         report.config("iterations", result.iterations);
         report.phase("setup", prec->setup_seconds());

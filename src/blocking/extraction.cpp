@@ -1,7 +1,6 @@
 #include "blocking/extraction.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "base/macros.hpp"
 #include "base/thread_pool.hpp"
@@ -220,47 +219,6 @@ size_type make_blocks_singular(sparse::Csr<T>& a,
     return n;
 }
 
-template <typename T>
-size_type make_blocks_illcond(sparse::Csr<T>& a,
-                              const core::BatchLayout& layout,
-                              size_type count, double grade) {
-    VBATCH_ENSURE(layout.total_rows() == a.num_rows(),
-                  "block sizes must partition the matrix");
-    VBATCH_ENSURE(grade > 0.0 && grade <= 1.0,
-                  "illcond grade must be in (0, 1]");
-    const auto nb = layout.count();
-    const auto n = std::min(count, nb);
-    if (n == 0) {
-        return 0;
-    }
-    const auto row_ptrs = a.row_ptrs();
-    const auto col_idxs = a.col_idxs();
-    auto values = a.values();
-    for (size_type k = 0; k < n; ++k) {
-        const auto b = k * nb / n;
-        const auto r0 = static_cast<index_type>(layout.row_offset(b));
-        const index_type m = layout.size(b);
-        for (index_type i = 0; i < m; ++i) {
-            // Geometric row grading: top row untouched, bottom row
-            // scaled by `grade`. Single-row blocks stay untouched (a 1x1
-            // block cannot be ill-conditioned).
-            const double e =
-                m > 1 ? static_cast<double>(i) /
-                            static_cast<double>(m - 1)
-                      : 0.0;
-            const T scale = static_cast<T>(std::pow(grade, e));
-            const auto row = static_cast<std::size_t>(r0 + i);
-            for (auto p = row_ptrs[row]; p < row_ptrs[row + 1]; ++p) {
-                const auto c = col_idxs[static_cast<std::size_t>(p)];
-                if (c >= r0 && c < r0 + m) {
-                    values[static_cast<std::size_t>(p)] *= scale;
-                }
-            }
-        }
-    }
-    return n;
-}
-
 #define VBATCH_INSTANTIATE_EXTRACT(T)                                       \
     template core::BatchedMatrices<T> extract_diagonal_blocks<T>(           \
         const sparse::Csr<T>&, core::BatchLayoutPtr);                       \
@@ -269,9 +227,7 @@ size_type make_blocks_illcond(sparse::Csr<T>& a,
     template SimtExtractionResult<T> extract_blocks_simt_shared<T>(         \
         const sparse::Csr<T>&, core::BatchLayoutPtr);                       \
     template size_type make_blocks_singular<T>(                             \
-        sparse::Csr<T>&, const core::BatchLayout&, size_type);             \
-    template size_type make_blocks_illcond<T>(                              \
-        sparse::Csr<T>&, const core::BatchLayout&, size_type, double)
+        sparse::Csr<T>&, const core::BatchLayout&, size_type)
 
 VBATCH_INSTANTIATE_EXTRACT(float);
 VBATCH_INSTANTIATE_EXTRACT(double);

@@ -22,7 +22,7 @@ namespace vbatch::core::detail {
 /// Pivot-magnitude monitor threaded through the single-problem kernels.
 /// The non-monitored instantiation compiles every hook to nothing, so
 /// the fast path's codegen is identical to the pre-monitor kernels.
-struct NoPivotMonitor {
+struct NullPivotMonitor {
     static constexpr bool enabled = false;
     void entry(double) noexcept {}
     void pivot(double) noexcept {}

@@ -17,7 +17,7 @@ using simt::Warp;
 namespace {
 
 /// Kernel body shared by the plain and monitored entry points (the
-/// monitor hooks compile away for NoPivotMonitor).
+/// monitor hooks compile away for NullPivotMonitor).
 template <typename T, typename Monitor>
 index_type potrf_single_impl(MatrixView<T> a, Monitor& mon) {
     VBATCH_ENSURE_DIMS(a.rows() == a.cols());
@@ -62,7 +62,7 @@ index_type potrf_single_impl(MatrixView<T> a, Monitor& mon) {
 
 template <typename T>
 index_type potrf_single(MatrixView<T> a) {
-    detail::NoPivotMonitor mon;
+    detail::NullPivotMonitor mon;
     return potrf_single_impl(a, mon);
 }
 

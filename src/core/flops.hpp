@@ -37,18 +37,4 @@ inline double gemv_flops(index_type m) {
     return 2.0 * d * d;
 }
 
-/// Nominal flops of one two-sided depth-d butterfly transform
-/// A := U^T A V (core/rbt.hpp): each level touches every entry twice
-/// (one add/sub + one multiply per side), so 2 * (2 m^2) per level.
-inline double rbt_transform_flops(index_type m, index_type depth) {
-    const double d = m;
-    return 4.0 * static_cast<double>(depth) * d * d;
-}
-
-/// Nominal flops of one butterfly vector transform (U^T b or V y):
-/// one add/sub + one multiply per entry per level.
-inline double rbt_vector_flops(index_type m, index_type depth) {
-    return 2.0 * static_cast<double>(depth) * static_cast<double>(m);
-}
-
 }  // namespace vbatch::core

@@ -5,7 +5,7 @@
 // that tuning as an extension. Lanes 0..15 carry problem A (one row per
 // lane), lanes 16..31 problem B; every warp instruction serves both
 // halves, the trailing updates pad only to 16 instead of 32, and the
-// pivot reduction is a 4-step half-warp butterfly. The per-problem issue
+// pivot reduction is a 4-step half-warp xor shuffle. The per-problem issue
 // count roughly halves, which is what recovers the small-size performance
 // the padded full-warp kernels give away (bench_ablation_packing).
 //

@@ -165,7 +165,7 @@ index_type gauss_huard_warp(Warp& warp, MatrixView<T> a,
     const lane_mask cols_m = first_lanes(m);
 
     // Load coalesced column-by-column, then redistribute so that lane j
-    // owns column j (a register transpose; a 32x32 butterfly transpose
+    // owns column j (a register transpose; a 32x32 xor-shuffle transpose
     // amortizes to log2(32) = 5 shuffle issues per vector).
     std::array<Reg<T>, warp_size> R{};  // R[i][j] = a(i, j)
     for (index_type j = 0; j < m; ++j) {

@@ -80,13 +80,6 @@ void getrs_single(ConstMatrixView<T> lu, std::span<const index_type> perm,
 }
 
 template <typename T>
-void getrs_single_nopivot(ConstMatrixView<T> lu, std::span<T> b,
-                          TrsvVariant variant) {
-    trsv_lower_unit(lu, b, variant);
-    trsv_upper(lu, b, variant);
-}
-
-template <typename T>
 void getrs_batch(const BatchedMatrices<T>& lu, const BatchedPivots& perm,
                  BatchedVectors<T>& b, const TrsvOptions& opts) {
     VBATCH_ENSURE(lu.layout() == perm.layout() && lu.layout() == b.layout(),
@@ -117,8 +110,6 @@ void getrs_batch(const BatchedMatrices<T>& lu, const BatchedPivots& perm,
     template void getrs_single<T>(ConstMatrixView<T>,                        \
                                   std::span<const index_type>, std::span<T>, \
                                   TrsvVariant);                              \
-    template void getrs_single_nopivot<T>(ConstMatrixView<T>, std::span<T>,  \
-                                          TrsvVariant);                      \
     template void getrs_batch<T>(const BatchedMatrices<T>&,                  \
                                  const BatchedPivots&, BatchedVectors<T>&,   \
                                  const TrsvOptions&)

@@ -51,10 +51,4 @@ template <typename T>
 void getrs_single(ConstMatrixView<T> lu, std::span<const index_type> perm,
                   std::span<T> b, TrsvVariant variant = TrsvVariant::eager);
 
-/// Solve with pivot-free factors (getrf_nopivot / PivotPolicy::none):
-/// lower + upper only, no permutation gather.
-template <typename T>
-void getrs_single_nopivot(ConstMatrixView<T> lu, std::span<T> b,
-                          TrsvVariant variant = TrsvVariant::eager);
-
 }  // namespace vbatch::core

@@ -22,13 +22,6 @@ namespace vbatch::core {
     void getrs_chunk_##suffix(const T* lu, const index_type* perm, T* b,     \
                               index_type m, size_type lane_stride);          \
     template <typename T>                                                    \
-    void getrf_nopivot_chunk_##suffix(T* a, index_type* perm,                \
-                                      index_type* info, index_type m,        \
-                                      size_type lane_stride);                \
-    template <typename T>                                                    \
-    void getrs_nopivot_chunk_##suffix(const T* lu, T* b, index_type m,       \
-                                      size_type lane_stride);                \
-    template <typename T>                                                    \
     void pack_zero_chunk_##suffix(T* vals, size_type n);                     \
     template <typename T>                                                    \
     void pack_entry_stats_chunk_##suffix(const T* vals, size_type n,         \
@@ -38,18 +31,6 @@ namespace vbatch::core {
     void diag_scan_chunk_##suffix(const T* lu, index_type m,                 \
                                   size_type lane_stride, T* min_piv,         \
                                   T* max_piv, unsigned* nonfinite_bits);     \
-    template <typename T>                                                    \
-    void rbt_transform_chunk_##suffix(T* a, const T* ucoef, const T* vcoef,  \
-                                      index_type m, index_type depth,        \
-                                      size_type lane_stride);                \
-    template <typename T>                                                    \
-    void rbt_forward_chunk_##suffix(T* b, const T* ucoef, index_type m,      \
-                                    index_type depth,                        \
-                                    size_type lane_stride);                  \
-    template <typename T>                                                    \
-    void rbt_backward_chunk_##suffix(T* x, const T* vcoef, index_type m,     \
-                                     index_type depth,                       \
-                                     size_type lane_stride);                 \
     template <typename T>                                                    \
     void simd_op_sweep_##suffix(const simd::OpSweepInput<T>& in,             \
                                 simd::OpSweepResult<T>& out)

@@ -29,20 +29,6 @@ void getrs_chunk_neon(const T* lu, const index_type* perm, T* b,
 }
 
 template <typename T>
-void getrf_nopivot_chunk_neon(T* a, index_type* perm, index_type* info,
-                              index_type m, size_type lane_stride) {
-    getrf_chunk<T, ChunkBackend, PivotPolicy::none>(a, perm, info, m,
-                                                    lane_stride);
-}
-
-template <typename T>
-void getrs_nopivot_chunk_neon(const T* lu, T* b, index_type m,
-                              size_type lane_stride) {
-    getrs_chunk<T, ChunkBackend, PivotPolicy::none>(lu, nullptr, b, m,
-                                                    lane_stride);
-}
-
-template <typename T>
 void pack_zero_chunk_neon(T* vals, size_type n) {
     pack_zero_chunk<T, ChunkBackend>(vals, n);
 }
@@ -62,26 +48,6 @@ void diag_scan_chunk_neon(const T* lu, index_type m, size_type lane_stride,
 }
 
 template <typename T>
-void rbt_transform_chunk_neon(T* a, const T* ucoef, const T* vcoef,
-                              index_type m, index_type depth,
-                              size_type lane_stride) {
-    rbt_transform_chunk<T, ChunkBackend>(a, ucoef, vcoef, m, depth,
-                                         lane_stride);
-}
-
-template <typename T>
-void rbt_forward_chunk_neon(T* b, const T* ucoef, index_type m,
-                            index_type depth, size_type lane_stride) {
-    rbt_forward_chunk<T, ChunkBackend>(b, ucoef, m, depth, lane_stride);
-}
-
-template <typename T>
-void rbt_backward_chunk_neon(T* x, const T* vcoef, index_type m,
-                             index_type depth, size_type lane_stride) {
-    rbt_backward_chunk<T, ChunkBackend>(x, vcoef, m, depth, lane_stride);
-}
-
-template <typename T>
 void simd_op_sweep_neon(const simd::OpSweepInput<T>& in,
                         simd::OpSweepResult<T>& out) {
     simd::op_sweep_run<T, ChunkBackend>(in, out);
@@ -92,22 +58,11 @@ void simd_op_sweep_neon(const simd::OpSweepInput<T>& in,
                                       index_type, size_type);                \
     template void getrs_chunk_neon<T>(const T*, const index_type*, T*,       \
                                       index_type, size_type);                \
-    template void getrf_nopivot_chunk_neon<T>(T*, index_type*, index_type*,  \
-                                              index_type, size_type);        \
-    template void getrs_nopivot_chunk_neon<T>(const T*, T*, index_type,      \
-                                              size_type);                    \
     template void pack_zero_chunk_neon<T>(T*, size_type);                    \
     template void pack_entry_stats_chunk_neon<T>(const T*, size_type, T*,    \
                                                  unsigned*);                 \
     template void diag_scan_chunk_neon<T>(const T*, index_type, size_type,   \
                                           T*, T*, unsigned*);                \
-    template void rbt_transform_chunk_neon<T>(T*, const T*, const T*,        \
-                                              index_type, index_type,        \
-                                              size_type);                    \
-    template void rbt_forward_chunk_neon<T>(T*, const T*, index_type,        \
-                                            index_type, size_type);          \
-    template void rbt_backward_chunk_neon<T>(T*, const T*, index_type,       \
-                                             index_type, size_type);         \
     template void simd_op_sweep_neon<T>(const simd::OpSweepInput<T>&,        \
                                         simd::OpSweepResult<T>&)
 

@@ -176,17 +176,6 @@ BlockJacobi<T>::BlockJacobi(const sparse::Csr<T>& a,
     obs::TraceRegion trace("block_jacobi::setup");
     obs::PerfRegion perf("block_jacobi::setup");
     Timer timer;
-    if (options_.pivot == PivotScheme::rbt) {
-        VBATCH_ENSURE(lane_backend(options_.backend),
-                      "block-Jacobi setup: pivot=rbt requires the lu or "
-                      "lu-simd backend");
-        VBATCH_ENSURE(
-            options_.recovery.mode != RecoveryPolicy::Mode::strict,
-            "block-Jacobi setup: pivot=rbt requires a non-strict recovery "
-            "policy (degenerate blocks must be able to fall back to the "
-            "pivoted path)");
-        rbt_ = core::RbtTransforms<T>(options_.rbt_seed, rbt_depth);
-    }
     if (options_.symbolic) {
         sym_ = options_.symbolic;
         symbolic_shared_ = true;
@@ -216,17 +205,6 @@ BlockJacobi<T>::BlockJacobi(const sparse::Csr<T>& a,
         if (monitor) {
             sg.lane_infos.resize(g.indices.size());
         }
-        if (rbt_enabled()) {
-            const size_type tab =
-                sg.group.lane_stride() *
-                static_cast<size_type>(rbt_.depth()) *
-                static_cast<size_type>(g.size);
-            sg.ucoef = AlignedBuffer<T>(tab);
-            sg.vcoef = AlignedBuffer<T>(tab);
-            rbt_.fill_group_coeffs(g.indices, g.size, sg.group.lanes(),
-                                   sg.group.lane_stride(),
-                                   sg.ucoef.data(), sg.vcoef.data());
-        }
         simd_groups_.push_back(std::move(sg));
     }
     run_numeric(a);
@@ -234,16 +212,6 @@ BlockJacobi<T>::BlockJacobi(const sparse::Csr<T>& a,
         const auto m = static_cast<double>(layout_->size(b));
         apply_bytes_ += (m * m + 2.0 * m) * sizeof(T);
         apply_flops_ += core::getrs_flops(layout_->size(b));
-        if (rbt_enabled()) {
-            // Forward (U^T b) + backward (V y) vector transforms wrap
-            // every block solve on the fast path.
-            apply_flops_ +=
-                2.0 * core::rbt_vector_flops(layout_->size(b),
-                                             rbt_.depth());
-            apply_bytes_ +=
-                2.0 * core::rbt_vector_bytes<T>(layout_->size(b),
-                                                rbt_.depth());
-        }
     }
     setup_seconds_ = timer.seconds();
     auto& registry = obs::Registry::global();
@@ -314,26 +282,10 @@ void BlockJacobi<T>::record_numeric_metrics() const {
         for (size_type b = 0; b < layout_->count(); ++b) {
             flops += core::getrf_flops(layout_->size(b));
             bytes += core::getrf_bytes<T>(layout_->size(b));
-            if (rbt_enabled()) {
-                // The two-sided butterfly transform runs inside the
-                // factorize phase, so its canonical traffic belongs here.
-                flops += core::rbt_transform_flops(layout_->size(b),
-                                                   rbt_.depth());
-                bytes += core::rbt_transform_bytes<T>(layout_->size(b),
-                                                      rbt_.depth());
-            }
         }
         registry.record_traffic("block_jacobi.factorize", flops, bytes,
                                 setup_phases_.factorize_seconds,
                                 layout_->count());
-    }
-    if (rbt_enabled()) {
-        registry.add("block_jacobi.rbt_transformed",
-                     static_cast<double>(layout_->count() - rbt_fellback_));
-        registry.add("block_jacobi.rbt_monitored",
-                     static_cast<double>(rbt_monitored_));
-        registry.add("block_jacobi.rbt_fellback",
-                     static_cast<double>(rbt_fellback_));
     }
 }
 
@@ -353,14 +305,6 @@ void BlockJacobi<T>::run_numeric(const sparse::Csr<T>& a) {
     recovery_ = {};
     degraded_blocks_.clear();
     fallback_inv_diag_.clear();
-    rbt_pivoted_blocks_.clear();
-    rbt_monitored_ = 0;
-    rbt_fellback_ = 0;
-    if (rbt_enabled()) {
-        rbt_applied_.assign(static_cast<std::size_t>(nb), 1);
-    } else {
-        rbt_applied_.clear();
-    }
 
     core::FactorizeStatus status;
     if (monitor) {
@@ -399,15 +343,7 @@ void BlockJacobi<T>::run_numeric(const sparse::Csr<T>& a) {
                                            task.chunk, infos);
             atomic_add(gather_s, tg.seconds());
             Timer tf;
-            if (rbt_enabled()) {
-                core::rbt_transform_interleaved_chunk(
-                    sg.group, sg.ucoef.data(), sg.vcoef.data(),
-                    rbt_.depth(), task.chunk);
-                core::getrf_interleaved_chunk(sg.group, task.chunk,
-                                              core::PivotPolicy::none);
-            } else {
-                core::getrf_interleaved_chunk(sg.group, task.chunk);
-            }
+            core::getrf_interleaved_chunk(sg.group, task.chunk);
             if (monitor) {
                 core::scan_interleaved_chunk(sg.group, task.chunk, infos);
             }
@@ -572,26 +508,17 @@ void BlockJacobi<T>::recover(std::span<const T> values,
     const auto& policy = options_.recovery;
     const double eps =
         static_cast<double>(std::numeric_limits<T>::epsilon());
-    // The pivot-free path is watched with the looser eps^1 auto
-    // tolerance (see RecoveryPolicy::effective_tol_rbt); refactorized
-    // and boosted blocks are pivoted again, so their health checks use
-    // the standard tolerance.
-    const double select_tol = rbt_enabled() ? policy.effective_tol_rbt(eps)
-                                            : policy.effective_tol(eps);
     const double tol = policy.effective_tol(eps);
 
     std::vector<size_type> bad;
     for (size_type b = 0; b < nb; ++b) {
         const auto& fi = infos[static_cast<std::size_t>(b)];
-        if (fi.degenerate(select_tol)) {
+        if (fi.degenerate(tol)) {
             bad.push_back(b);
         } else {
             recovery_.max_growth =
                 std::max(recovery_.max_growth, fi.growth());
         }
-    }
-    if (rbt_enabled()) {
-        rbt_monitored_ = static_cast<size_type>(bad.size());
     }
     if (bad.empty()) {
         recovery_.ok = nb;
@@ -616,29 +543,6 @@ void BlockJacobi<T>::recover(std::span<const T> values,
             (fi0.finite && fi0.max_entry > 0.0) ? fi0.max_entry : 0.0;
         bool recovered = false;
         core::FactorInfo fi;
-        if (rbt_enabled()) {
-            // Leave the fast path: refactorize the pristine block with
-            // implicit pivoting, unshifted, before any boosting -- most
-            // blocks the butterfly monitor flags are merely hard, not
-            // singular, and pivoting handles them outright.
-            rbt_applied_[static_cast<std::size_t>(b)] = 0;
-            ++rbt_fellback_;
-            if (scale > 0.0) {
-                auto dst = factors_.view(b);
-                for (index_type j = 0; j < m; ++j) {
-                    for (index_type i = 0; i < m; ++i) {
-                        dst(i, j) = src(i, j);
-                    }
-                }
-                fi = {};
-                if (factorize_block(b, &fi) == 0 && !fi.degenerate(tol)) {
-                    recovery_.max_growth =
-                        std::max(recovery_.max_growth, fi.growth());
-                    rbt_pivoted_blocks_.push_back(b);
-                    continue;  // status stays ok: pivoted factors are fine
-                }
-            }
-        }
         if (scale > 0.0) {
             double tau = policy.boost_scale * scale;
             for (index_type attempt = 0; attempt < policy.max_boosts;
@@ -665,9 +569,6 @@ void BlockJacobi<T>::recover(std::span<const T> values,
                 core::BlockStatus::boosted;
             recovery_.max_growth =
                 std::max(recovery_.max_growth, fi.growth());
-            if (rbt_enabled()) {
-                rbt_pivoted_blocks_.push_back(b);
-            }
             continue;
         }
         if (policy.mode == RecoveryPolicy::Mode::boost) {
@@ -773,23 +674,7 @@ void BlockJacobi<T>::apply_lanes(std::span<const T> r,
                 dst[i * lanes] = src[i];
             }
         }
-        if (rbt_enabled()) {
-            // y = V solve(LU, U^T b): vector transforms bracket the
-            // pivot-free lane solve. Lanes holding blocks that left
-            // the fast path produce finite garbage here and are
-            // re-solved by the pivoted fix-up pass below.
-            core::rbt_forward_interleaved_chunk(
-                sg.group, sg.rhs, sg.ucoef.data(), rbt_.depth(),
-                task.chunk);
-            core::getrs_interleaved_chunk(sg.group, sg.rhs, task.chunk,
-                                          core::PivotPolicy::none);
-            core::rbt_backward_interleaved_chunk(
-                sg.group, sg.rhs, sg.vcoef.data(), rbt_.depth(),
-                task.chunk);
-        } else {
-            core::getrs_interleaved_chunk(sg.group, sg.rhs,
-                                          task.chunk);
-        }
+        core::getrs_interleaved_chunk(sg.group, sg.rhs, task.chunk);
         for (size_type l = lane_lo; l < lane_hi; ++l) {
             T* dst =
                 z.data() + row_offsets[static_cast<std::size_t>(l)];
@@ -805,19 +690,6 @@ void BlockJacobi<T>::apply_lanes(std::span<const T> r,
         for (size_type t = 0; t < total; ++t) {
             body(t);
         }
-    }
-    // Blocks that left the RBT fast path but hold usable pivoted factors
-    // are re-solved through the scalar pivoted solve (their group lanes
-    // ran the pivot-free solve on pivoted factors above).
-    for (const auto b : rbt_pivoted_blocks_) {
-        const auto off = static_cast<std::size_t>(layout_->row_offset(b));
-        const auto m = static_cast<std::size_t>(layout_->size(b));
-        const std::span<T> zb = z.subspan(off, m);
-        for (std::size_t k = 0; k < m; ++k) {
-            zb[k] = r[off + k];
-        }
-        core::getrs_single(factors_.view(b), pivots_.span(b), zb,
-                           core::TrsvVariant::eager);
     }
     // Degraded blocks route through the inverse-diagonal fallback; the
     // fix-up pass overwrites whatever the group solve produced for them
@@ -952,9 +824,6 @@ std::string BlockJacobi<T>::name() const {
     if (options_.backend == BlockJacobiBackend::lu_simd) {
         backend += std::string("[") + core::simd_isa_name(options_.simd) +
                    "]";
-    }
-    if (options_.pivot == PivotScheme::rbt) {
-        backend += "+rbt";
     }
     return "block-jacobi(" + backend + "," +
            std::to_string(options_.max_block_size) + ")";

@@ -37,7 +37,6 @@
 #include "core/gauss_huard.hpp"
 #include "core/gauss_jordan.hpp"
 #include "core/getrf.hpp"
-#include "core/rbt.hpp"
 #include "core/trsv.hpp"
 #include "core/vectorized.hpp"
 #include "precond/preconditioner.hpp"
@@ -50,9 +49,6 @@ enum class BlockJacobiBackend { lu, lu_simd, gauss_huard, gauss_huard_t,
                                 gje_inversion, cholesky };
 
 std::string backend_name(BlockJacobiBackend backend);
-
-/// Butterfly recursion depth of the PivotScheme::rbt fast path.
-inline constexpr index_type rbt_depth = 2;
 
 /// The complete symbolic (pattern-only) state of a block-Jacobi setup:
 /// block layout, extraction gather plan, interleaved group shapes +
@@ -131,16 +127,6 @@ struct BlockJacobiOptions {
     /// defaults to the widest the machine supports). Triangular solves
     /// are always eager, the variant the paper selects.
     core::SimdIsa simd = core::detect_simd_isa();
-    /// Pivoting scheme of the lu / lu_simd backends. PivotScheme::rbt
-    /// preprocesses every block with a seeded random butterfly transform
-    /// and factorizes without pivoting (core/rbt.hpp); blocks the
-    /// butterflies fail to regularize are refactorized with implicit
-    /// pivoting through the recovery chain, so the setup stays total --
-    /// which is why rbt requires a non-strict recovery policy.
-    PivotScheme pivot = PivotScheme::implicit;
-    /// Butterfly seed for pivot == PivotScheme::rbt (default:
-    /// VBATCH_RBT_SEED when set, else 42).
-    std::uint64_t rbt_seed = core::default_rbt_seed();
     /// Parallelize setup/application over the blocks.
     bool parallel = true;
     /// Reuse a precomputed block structure instead of running
@@ -301,13 +287,6 @@ private:
         /// exclusively by the chunk tasks of this group, each of which
         /// touches a disjoint chunk.
         mutable core::InterleavedVectors<T> rhs;
-        /// Lane-interleaved butterfly coefficient tables of the group
-        /// (PivotScheme::rbt only; empty otherwise). Laid out
-        /// coef[((chunk*depth + t)*m + i)*lanes + lane], padding lanes
-        /// all-ones; filled once at construction -- the butterflies are
-        /// a pure function of (seed, block), so refresh() reuses them.
-        AlignedBuffer<T> ucoef;
-        AlignedBuffer<T> vcoef;
     };
 
     static constexpr size_type no_group = BlockJacobiSymbolic::no_group;
@@ -326,9 +305,6 @@ private:
     /// fills the pivot statistics when `info` is non-null. For lu /
     /// lu_simd this is the recovery kernel (getrf_implicit).
     index_type factorize_block(size_type b, core::FactorInfo* info);
-    bool rbt_enabled() const noexcept {
-        return options_.pivot == PivotScheme::rbt;
-    }
     /// Export the numeric-phase timings and per-status block counters
     /// to the metrics registry (shared by construction and refresh()).
     void record_numeric_metrics() const;
@@ -367,35 +343,6 @@ private:
     std::vector<T> fallback_inv_diag_;
     /// Blocks applied through fallback_inv_diag_ instead of the factors.
     std::vector<size_type> degraded_blocks_;
-    /// Butterfly generator (PivotScheme::rbt; default-constructed and
-    /// unused otherwise).
-    core::RbtTransforms<T> rbt_;
-    /// rbt_applied_[b] != 0 when block b's factors are its butterfly-
-    /// transformed pivot-free LU (apply wraps the solve in forward/
-    /// backward vector transforms). Empty unless PivotScheme::rbt.
-    std::vector<char> rbt_applied_;
-    /// Blocks that left the fast path but hold usable *pivoted* factors
-    /// (recovered clean or boosted). Their lanes still run the group's
-    /// pivot-free solve; a per-apply fix-up pass re-solves them through
-    /// the scalar pivoted solve.
-    std::vector<size_type> rbt_pivoted_blocks_;
-    /// Blocks the degeneracy monitor flagged on the fast path, and the
-    /// subset (currently all of them) refactorized off it.
-    size_type rbt_monitored_ = 0;
-    size_type rbt_fellback_ = 0;
-
-public:
-    /// True when block b applies through its butterfly-transformed
-    /// pivot-free factors (always false unless PivotScheme::rbt).
-    bool rbt_applied(size_type b) const noexcept {
-        return !rbt_applied_.empty() &&
-               rbt_applied_[static_cast<std::size_t>(b)] != 0;
-    }
-    /// Fast-path robustness counters of the last numeric pass
-    /// (PivotScheme::rbt): blocks flagged degenerate by the monitor and
-    /// blocks refactorized off the fast path.
-    size_type rbt_monitored() const noexcept { return rbt_monitored_; }
-    size_type rbt_fellback() const noexcept { return rbt_fellback_; }
 };
 
 }  // namespace vbatch::precond

@@ -13,14 +13,12 @@
 // "cholesky". register_backend() adds project-specific ones.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/batch_layout.hpp"
-#include "core/rbt.hpp"
 #include "core/simd_dispatch.hpp"
 #include "precond/preconditioner.hpp"
 #include "precond/recovery.hpp"
@@ -42,13 +40,6 @@ struct Config {
     core::SimdIsa simd = core::detect_simd_isa();
     /// Parallelize setup/application over the blocks.
     bool parallel = true;
-    /// Pivoting scheme of the "lu" / "lu-simd" backends.
-    /// PivotScheme::rbt enables the butterfly-transformed pivot-free
-    /// fast path (requires a non-strict recovery policy).
-    PivotScheme pivot = PivotScheme::implicit;
-    /// Butterfly seed for pivot == PivotScheme::rbt (default:
-    /// VBATCH_RBT_SEED when set, else 42).
-    std::uint64_t rbt_seed = core::default_rbt_seed();
     /// Per-block breakdown handling (block-Jacobi backends).
     RecoveryPolicy recovery;
     /// Reuse a precomputed block structure (empty = detect).

@@ -36,8 +36,6 @@ BlockJacobiOptions block_jacobi_options(const Config& config,
     opts.max_block_size = config.max_block_size;
     opts.simd = config.simd;
     opts.parallel = config.parallel;
-    opts.pivot = config.pivot;
-    opts.rbt_seed = config.rbt_seed;
     opts.layout = config.layout;
     opts.recovery = config.recovery;
     opts.symbolic = config.symbolic;

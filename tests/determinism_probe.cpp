@@ -100,24 +100,50 @@ int main(int argc, char** argv) {
         hash.add(&res.iterations, sizeof(res.iterations));
     }
 
-    // Pivoting-free fast path: the butterfly coefficients are a pure
-    // function of (seed, block), so the RBT setup -- including the
-    // degeneracy monitor and the pivoted fallback on injected
-    // near-singular blocks -- must be bitwise independent of the thread
-    // count and scheduler mode too.
+    // Recovery: zeroed blocks degrade to the identity, and a block whose
+    // first column is zeroed breaks down at step one with a scale to
+    // boost by, so the boost -> fallback -> lane-repack chain runs on
+    // both backends and must be bitwise independent of the thread count
+    // and scheduler mode too.
     {
-        auto graded = a;
+        auto broken = a;
         const auto layout = blocking::supervariable_layout(
-            graded, blocking::BlockingOptions{.max_block_size = 16});
-        blocking::make_blocks_illcond(graded, *layout, 6);
+            broken, blocking::BlockingOptions{.max_block_size = 16});
+        const size_type zeroed =
+            blocking::make_blocks_singular(broken, *layout, 4);
+        size_type boost = 1;
+        while (layout->size(boost) < 2) {
+            ++boost;
+        }
+        const auto r0 = static_cast<index_type>(layout->row_offset(boost));
+        std::vector<double> vals(broken.values().begin(),
+                                 broken.values().end());
+        for (index_type i = r0; i < r0 + layout->size(boost); ++i) {
+            const auto row = static_cast<std::size_t>(i);
+            for (auto e = broken.row_ptrs()[row];
+                 e < broken.row_ptrs()[row + 1]; ++e) {
+                if (broken.col_idxs()[static_cast<std::size_t>(e)] == r0) {
+                    vals[static_cast<std::size_t>(e)] = 0.0;
+                }
+            }
+        }
+        broken.set_values(std::span<const double>(vals));
         for (const auto backend : {precond::BlockJacobiBackend::lu,
                                    precond::BlockJacobiBackend::lu_simd}) {
             precond::BlockJacobiOptions popts;
             popts.backend = backend;
             popts.max_block_size = 16;
             popts.layout = layout;
-            popts.pivot = precond::PivotScheme::rbt;
-            const precond::BlockJacobi<double> prec(graded, popts);
+            const precond::BlockJacobi<double> prec(broken, popts);
+            const auto summary = prec.recovery_summary();
+            if (summary.boosted != 1 ||
+                summary.fell_back + summary.singular != zeroed) {
+                std::fprintf(stderr,
+                             "recovery section: expected 1 boosted and %lld "
+                             "degraded blocks\n",
+                             static_cast<long long>(zeroed));
+                return 1;
+            }
             for (size_type bi = 0; bi < prec.factors().count(); ++bi) {
                 const auto v = prec.factors().view(bi);
                 for (index_type c = 0; c < v.cols(); ++c) {
@@ -127,8 +153,8 @@ int main(int argc, char** argv) {
                     }
                 }
             }
-            const auto fellback = prec.rbt_fellback();
-            hash.add(&fellback, sizeof(fellback));
+            const auto& status = prec.block_status();
+            hash.add(status.data(), status.size() * sizeof(status[0]));
             std::vector<double> z(nz, 0.0);
             prec.apply(std::span<const double>(b), std::span<double>(z));
             hash.add_vector(z);

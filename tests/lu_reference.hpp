@@ -2,10 +2,8 @@
 //
 // Both keys run the interleaved lane pipeline. This helper is what they
 // are held to: the core scalar kernels run block by block on
-// extract_diagonal_blocks -- getrf_implicit / getrs_single, or under
-// PivotScheme::rbt the RbtTransforms scalar transforms with
-// getrf_nopivot / getrs_single_nopivot -- followed by the recovery chain
-// written out once more (RBT fallback to pivoting, diagonal boosting,
+// extract_diagonal_blocks -- getrf_implicit / getrs_single -- followed by
+// the recovery chain written out once more (diagonal boosting,
 // scalar-Jacobi fallback, identity). Factors, pivots, statuses and the
 // application must match the preconditioner bit for bit.
 #pragma once
@@ -14,7 +12,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <limits>
 #include <span>
 #include <string>
@@ -22,7 +19,6 @@
 
 #include "blocking/extraction.hpp"
 #include "core/getrf.hpp"
-#include "core/rbt.hpp"
 #include "core/trsv.hpp"
 #include "precond/block_jacobi.hpp"
 
@@ -33,11 +29,8 @@ struct LuReference {
     core::BatchedMatrices<T> factors;
     core::BatchedPivots pivots;
     std::vector<core::BlockStatus> status;
-    /// Block b solves through its butterfly-transformed factors.
-    std::vector<char> rbt_applied;
     /// Per-row inverse diagonal of fell-back / singular blocks.
     std::vector<T> inv_diag;
-    core::RbtTransforms<T> rbt;
 
     void apply(std::span<const T> r, std::span<T> z) const {
         const auto& layout = factors.layout();
@@ -54,10 +47,6 @@ struct LuReference {
                 for (std::size_t i = 0; i < m; ++i) {
                     zb[i] = r[off + i] * inv_diag[off + i];
                 }
-            } else if (rbt_applied[static_cast<std::size_t>(b)] != 0) {
-                rbt.forward(b, zb);
-                core::getrs_single_nopivot(factors.view(b), zb);
-                rbt.backward(b, zb);
             } else {
                 core::getrs_single(factors.view(b), pivots.span(b), zb);
             }
@@ -69,24 +58,16 @@ struct LuReference {
 /// backends must, with the scalar kernels and a RecoveryPolicy of
 /// Mode::full (the default) -- the chain that never throws.
 template <typename T>
-LuReference<T> lu_reference(
-    const sparse::Csr<T>& a, const core::BatchLayoutPtr& layout,
-    precond::PivotScheme pivot = precond::PivotScheme::implicit,
-    std::uint64_t seed = core::default_rbt_seed(),
-    const precond::RecoveryPolicy& policy = {}) {
-    const bool use_rbt = pivot == precond::PivotScheme::rbt;
+LuReference<T> lu_reference(const sparse::Csr<T>& a,
+                            const core::BatchLayoutPtr& layout) {
+    const precond::RecoveryPolicy policy;
     const auto pristine = blocking::extract_diagonal_blocks(a, layout);
-    LuReference<T> ref{pristine.clone(), core::BatchedPivots(layout),
-                       {}, {}, {}, core::RbtTransforms<T>(seed,
-                                                          precond::rbt_depth)};
+    LuReference<T> ref{pristine.clone(), core::BatchedPivots(layout), {},
+                       {}};
     const size_type nb = layout->count();
     ref.status.assign(static_cast<std::size_t>(nb), core::BlockStatus::ok);
-    ref.rbt_applied.assign(static_cast<std::size_t>(nb), use_rbt ? 1 : 0);
     const double eps = static_cast<double>(std::numeric_limits<T>::epsilon());
-    const double select_tol = use_rbt ? policy.effective_tol_rbt(eps)
-                                      : policy.effective_tol(eps);
     const double tol = policy.effective_tol(eps);
-    constexpr double inf = std::numeric_limits<double>::infinity();
 
     for (size_type b = 0; b < nb; ++b) {
         auto v = ref.factors.view(b);
@@ -101,57 +82,13 @@ LuReference<T> lu_reference(
             }
         };
         core::FactorInfo fi;
-        if (use_rbt) {
-            // Pristine entry statistics, butterfly transform, identity
-            // pivots, pivot-free LU, then |u_kk| as the pivot sequence.
-            for (index_type j = 0; j < m; ++j) {
-                for (index_type i = 0; i < m; ++i) {
-                    const double av = std::abs(static_cast<double>(v(i, j)));
-                    if (av < inf) {
-                        fi.max_entry = std::max(fi.max_entry, av);
-                    } else {
-                        fi.finite = false;
-                    }
-                }
-            }
-            ref.rbt.transform_block(b, v);
-            for (index_type k = 0; k < m; ++k) {
-                p[static_cast<std::size_t>(k)] = k;
-            }
-            fi.step = core::getrf_nopivot(v);
-            if (fi.step != 0) {
-                fi.min_pivot = 0.0;
-            } else {
-                for (index_type k = 0; k < m; ++k) {
-                    const double d = std::abs(static_cast<double>(v(k, k)));
-                    if (d < inf) {
-                        fi.min_pivot = std::min(fi.min_pivot, d);
-                        fi.max_pivot = std::max(fi.max_pivot, d);
-                    } else {
-                        fi.finite = false;
-                    }
-                }
-            }
-        } else {
-            core::getrf_implicit(v, p, fi);
-        }
-        if (!fi.degenerate(select_tol)) {
+        core::getrf_implicit(v, p, fi);
+        if (!fi.degenerate(tol)) {
             continue;
         }
 
         const double scale =
             (fi.finite && fi.max_entry > 0.0) ? fi.max_entry : 0.0;
-        if (use_rbt) {
-            ref.rbt_applied[static_cast<std::size_t>(b)] = 0;
-            if (scale > 0.0) {
-                restore();
-                core::FactorInfo fp;
-                if (core::getrf_implicit(v, p, fp) == 0 &&
-                    !fp.degenerate(tol)) {
-                    continue;
-                }
-            }
-        }
         bool boosted = false;
         if (scale > 0.0) {
             double tau = policy.boost_scale * scale;
@@ -204,8 +141,8 @@ LuReference<T> lu_reference(
 }
 
 /// Bitwise comparison of a lu / lu-simd preconditioner with its scalar
-/// reference: factors, pivots, per-block status and RBT routing, and the
-/// application of `r`.
+/// reference: factors, pivots, per-block status, and the application of
+/// `r`.
 template <typename T>
 ::testing::AssertionResult matches_lu_reference(
     const precond::BlockJacobi<T>& prec, const LuReference<T>& ref,
@@ -238,10 +175,6 @@ template <typename T>
                    << "status of block " << b << ": "
                    << static_cast<int>(prec.block_status()[bi]) << " vs "
                    << static_cast<int>(ref.status[bi]);
-        }
-        if (prec.rbt_applied(b) != (ref.rbt_applied[bi] != 0)) {
-            return ::testing::AssertionFailure()
-                   << "RBT routing of block " << b << " differs";
         }
     }
     std::vector<T> z_got(r.size());
