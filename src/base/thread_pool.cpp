@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdlib>
 #include <string>
-#include <string_view>
 
 #include "base/macros.hpp"
 #include "obs/trace.hpp"
@@ -13,12 +12,10 @@ namespace vbatch {
 namespace {
 
 /// Set while the current thread runs a parallel_for body or a submitted
-/// task (worker or participating caller). In sharing mode nested
-/// parallel_for calls observe it and run inline instead of touching the
-/// single job slot; in stealing mode it only feeds in_worker().
+/// task (worker or participating caller); feeds in_worker().
 thread_local bool t_in_parallel_body = false;
 
-/// Set while an enclosing drain/run_range/run_task is already charging
+/// Set while an enclosing run_range/run_task is already charging
 /// this thread's wall time to a participant stat slot; nested units then
 /// skip busy_ns (their time is inside the enclosing measurement) but
 /// still count their chunks.
@@ -80,14 +77,6 @@ struct PoolStatsEnvProbe {
 };
 const PoolStatsEnvProbe pool_stats_env_probe{};
 
-void atomic_max(std::atomic<size_type>& target, size_type value) {
-    size_type current = target.load(std::memory_order_relaxed);
-    while (current < value &&
-           !target.compare_exchange_weak(current, value,
-                                         std::memory_order_relaxed)) {
-    }
-}
-
 std::uint64_t to_ns(std::chrono::steady_clock::duration d) {
     return static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(d).count());
@@ -137,20 +126,8 @@ bool spin_until(const Done& done) {
 
 }  // namespace
 
-SchedMode sched_mode_from_env() {
-    const char* env = std::getenv("VBATCH_SCHED");
-    if (env != nullptr && std::string_view(env) == "sharing") {
-        return SchedMode::sharing;
-    }
-    return SchedMode::stealing;
-}
-
 ThreadPool::ThreadPool(unsigned num_threads)
-    : ThreadPool(num_threads, sched_mode_from_env()) {}
-
-ThreadPool::ThreadPool(unsigned num_threads, SchedMode mode)
     : epoch_(std::chrono::steady_clock::now()) {
-    mode_.store(mode, std::memory_order_relaxed);
     if (num_threads == 0) {
         num_threads = std::max(1u, std::thread::hardware_concurrency());
     }
@@ -232,7 +209,7 @@ size_type ThreadPool::check_range(size_type begin, size_type end) {
 }
 
 // ---------------------------------------------------------------------
-// Wake protocol (shared by both modes)
+// Wake protocol
 // ---------------------------------------------------------------------
 
 void ThreadPool::publish_wake() {
@@ -271,7 +248,7 @@ bool ThreadPool::park(std::uint64_t seen_epoch) {
 }
 
 // ---------------------------------------------------------------------
-// Stealing engine
+// Range execution, stealing and joins
 // ---------------------------------------------------------------------
 
 void ThreadPool::run_range(StealJob& job, size_type lo, size_type hi,
@@ -292,9 +269,10 @@ void ThreadPool::run_range(StealJob& job, size_type lo, size_type hi,
             // Lazy binary split: our deque being empty means thieves (or
             // our own progress) consumed everything stealable, so expose
             // the upper half. The midpoint is grain-aligned relative to
-            // the job origin, which keeps every executed chunk on the
-            // same {origin + m*grain} boundaries as the sharing pool's
-            // fetch_add decomposition -- the determinism invariant.
+            // the job origin, so every executed chunk is exactly
+            // [origin + m*grain, min(origin + (m+1)*grain, n)) for some m,
+            // however the range was split or stolen -- the determinism
+            // invariant.
             if (RangeTask* split = job.take_split_record()) {
                 const size_type nchunks = (hi - lo + grain - 1) / grain;
                 const size_type mid = lo + (nchunks / 2) * grain;
@@ -543,47 +521,8 @@ void ThreadPool::run_stealing(size_type begin, size_type end,
 }
 
 // ---------------------------------------------------------------------
-// Legacy (sharing) engine
+// Tasks, telemetry and the worker loop
 // ---------------------------------------------------------------------
-
-void ThreadPool::drain(ParallelJob& job, ParticipantStat* stat) {
-    const size_type grain = job.grain;
-    const bool was_in_body = t_in_parallel_body;
-    t_in_parallel_body = true;
-    const bool stats = pool_stats_on() && stat != nullptr;
-    const bool timer = stats && !t_busy_timed;
-    if (timer) {
-        t_busy_timed = true;
-    }
-    const auto t0 = timer ? std::chrono::steady_clock::now()
-                          : std::chrono::steady_clock::time_point{};
-    size_type claimed = 0;
-    std::uint64_t chunks = 0;
-    for (;;) {
-        const size_type i = job.next.fetch_add(grain,
-                                               std::memory_order_relaxed);
-        if (i >= job.end) {
-            break;
-        }
-        const size_type hi = std::min(i + grain, job.end);
-        for (size_type k = i; k < hi; ++k) {
-            (*job.body)(job.begin + k);
-        }
-        claimed += hi - i;
-        ++chunks;
-    }
-    t_in_parallel_body = was_in_body;
-    if (stats) {
-        if (timer) {
-            t_busy_timed = false;
-            stat->busy_ns.fetch_add(
-                to_ns(std::chrono::steady_clock::now() - t0),
-                std::memory_order_relaxed);
-        }
-        stat->chunks.fetch_add(chunks, std::memory_order_relaxed);
-        atomic_max(job.max_claimed, claimed);
-    }
-}
 
 void ThreadPool::note_inline_run(
     std::chrono::steady_clock::duration elapsed) {
@@ -604,10 +543,8 @@ void ThreadPool::note_inline_run(
 
 void ThreadPool::run_task(std::function<void()>& task,
                           std::size_t stat_slot) {
-    // Tasks execute with the worker flag raised. In sharing mode that
-    // makes parallel_for inside a task inline on this thread (the
-    // legacy job slot is not reentrant); in stealing mode nested calls
-    // dispatch normally and the flag only feeds in_worker().
+    // Tasks execute with the worker flag raised (in_worker()); nested
+    // parallel_for calls dispatch normally.
     const bool was_in_body = t_in_parallel_body;
     t_in_parallel_body = true;
     const bool stats = pool_stats_on();
@@ -638,8 +575,7 @@ void ThreadPool::submit(std::function<void()> task) {
         run_task(task, 0);
         return;
     }
-    if (mode() == SchedMode::stealing && t_binding.pool == this &&
-        t_binding.slot < workers_.size()) {
+    if (t_binding.pool == this && t_binding.slot < workers_.size()) {
         // Worker-side submit: lock-free push onto our own task deque.
         // (External threads use the injection queue below -- a leased
         // slot's deque loses its owner when the lease ends, so function
@@ -675,56 +611,24 @@ size_type ThreadPool::queued_tasks() const {
     return n;
 }
 
-ThreadPool::ParallelJob* ThreadPool::try_adopt_legacy_job(
-    std::uint64_t& seen_epoch) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (job_ == nullptr || job_epoch_ == seen_epoch) {
-        return nullptr;
-    }
-    // Register on the job *before* releasing the lock: the posting
-    // caller retires the job only after every registered worker has
-    // decremented back out.
-    seen_epoch = job_epoch_;
-    job_->active_workers.fetch_add(1, std::memory_order_relaxed);
-    return job_;
-}
-
 void ThreadPool::worker_loop(std::size_t stat_slot) {
     const std::size_t slot = stat_slot - 1;
     t_binding = Binding{this, slot, stat_slot};
-    std::uint64_t seen_job_epoch = 0;
-    // One unified loop services both disciplines, so set_mode only has
-    // to redirect publishers. Priority: the latency-sensitive legacy
-    // job slot, then cache-hot own ranges, stolen ranges, own tasks,
-    // stolen tasks, the injection queue -- and park only after a sweep
-    // that saw everything empty with no steal contention.
+    // Priority: cache-hot own ranges, stolen ranges, own tasks, stolen
+    // tasks, the injection queue -- and park only after a sweep that
+    // saw everything empty with no steal contention.
     for (;;) {
         if (shutdown_flag_.load(std::memory_order_acquire)) {
             return;
         }
         const std::uint64_t e0 =
             wake_epoch_.load(std::memory_order_seq_cst);
-        bool progress = false;
         bool contended = false;
-        if (legacy_jobs_pending_.load(std::memory_order_acquire) > 0) {
-            if (ParallelJob* job = try_adopt_legacy_job(seen_job_epoch)) {
-                drain(*job, &stats_[stat_slot]);
-                {
-                    std::lock_guard<std::mutex> lock(mutex_);
-                    job->active_workers.fetch_sub(
-                        1, std::memory_order_relaxed);
-                }
-                done_cv_.notify_all();
-                progress = true;
-            }
-        }
-        if (!progress) {
-            progress = run_one_own_range(slot, stat_slot);
-        }
+        bool progress = run_one_own_range(slot, stat_slot);
         if (!progress) {
             const int r = try_steal_range(slot, stat_slot);
             progress = r == 1;
-            contended = contended || r == -1;
+            contended = r == -1;
         }
         if (!progress) {
             if (TaskNode* node = slots_[slot].tasks.pop()) {
@@ -762,65 +666,6 @@ void ThreadPool::worker_loop(std::size_t stat_slot) {
     }
 }
 
-void ThreadPool::run_parallel(size_type begin, size_type end,
-                              FunctionRef<void(size_type)> body,
-                              size_type grain) {
-    // The inline fast paths (empty pool, single grain, nested call) were
-    // taken by the parallel_for template; here the range is worth real
-    // dispatch. The job operates on [0, n) internally; drain offsets by
-    // `begin` so no wrapper callable is needed.
-    ParallelJob job;
-    job.body = &body;
-    job.begin = begin;
-    job.end = end - begin;
-    job.grain = grain;
-    // Workers register themselves on adoption (under mutex_) and
-    // deregister when their drain returns, so the wait below only covers
-    // workers that actually touched *this* job. Concurrent external
-    // callers therefore never wait on workers helping someone else's job
-    // or busy inside a submitted task.
-    job.active_workers.store(0, std::memory_order_relaxed);
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        job_ = &job;
-        ++job_epoch_;
-        legacy_jobs_pending_.fetch_add(1, std::memory_order_relaxed);
-    }
-    publish_wake();
-    drain(job, &stats_[0]);
-    // Wait for workers still inside drain() before the job leaves scope.
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        done_cv_.wait(lock, [&] {
-            return job.active_workers.load(std::memory_order_relaxed) == 0;
-        });
-        if (job_ == &job) {
-            job_ = nullptr;  // a concurrent caller may have replaced it
-        }
-        legacy_jobs_pending_.fetch_sub(1, std::memory_order_relaxed);
-    }
-    if (pool_stats_on()) {
-        dispatches_.fetch_add(1, std::memory_order_relaxed);
-        const auto participants =
-            static_cast<std::uint64_t>(workers_.size()) + 1;
-        const auto max_claimed = static_cast<std::uint64_t>(
-            job.max_claimed.load(std::memory_order_relaxed));
-        const auto n = static_cast<std::uint64_t>(job.end);
-        if (n > 0 && max_claimed > 0) {
-            // Imbalance = max claimed / fair share, in permille so the
-            // accumulator stays integral. (Sharing mode only: stealing
-            // balances by construction, and its steal/split counters
-            // tell the distribution story instead.)
-            const std::uint64_t permille =
-                max_claimed * participants * 1000 / n;
-            imbalance_last_permille_.store(permille,
-                                           std::memory_order_relaxed);
-            imbalance_sum_permille_.fetch_add(permille,
-                                              std::memory_order_relaxed);
-        }
-    }
-}
-
 obs::PoolTelemetry ThreadPool::telemetry() const {
     obs::PoolTelemetry t;
     t.workers = size();
@@ -852,15 +697,6 @@ obs::PoolTelemetry ThreadPool::telemetry() const {
         static_cast<size_type>(parks_.load(std::memory_order_relaxed));
     t.spin_wakes = static_cast<size_type>(
         spin_wakes_.load(std::memory_order_relaxed));
-    const auto disp = dispatches_.load(std::memory_order_relaxed);
-    t.mean_imbalance =
-        disp > 0 ? static_cast<double>(imbalance_sum_permille_.load(
-                       std::memory_order_relaxed)) /
-                       (1000.0 * static_cast<double>(disp))
-                 : 0.0;
-    t.last_imbalance = static_cast<double>(imbalance_last_permille_.load(
-                           std::memory_order_relaxed)) /
-                       1000.0;
     return t;
 }
 

@@ -1,27 +1,23 @@
-// Host scheduler for the batched kernels: a thread pool with two
-// interchangeable dispatch disciplines behind one parallel_for/submit
-// API.
+// Host scheduler for the batched kernels: a work-stealing thread pool
+// behind one parallel_for/submit API.
 //
-//  * stealing (default): per-worker Chase-Lev deques (work_deque.hpp).
-//    parallel_for publishes lazily split half-ranges that idle workers
-//    steal, so a call nested inside a pool task -- every service-layer
-//    solve -- spreads across idle threads instead of degrading to
-//    sequential execution. submit() pushes fire-and-forget tasks onto
-//    the submitting worker's own deque (lock-free) or, from external
-//    threads, onto a shared injection queue.
-//  * sharing (legacy, VBATCH_SCHED=sharing): the original single
-//    mutex-guarded job slot + task queue. Nested parallel_for runs
-//    inline-sequential. Kept selectable for A/B comparison
-//    (bench_scheduler) and as an escape hatch.
+// Every worker owns a pair of Chase-Lev deques (work_deque.hpp);
+// external threads lease one for the duration of a root call.
+// parallel_for publishes lazily split half-ranges that idle workers
+// steal, so a call nested inside a pool task -- every service-layer
+// solve -- spreads across idle threads instead of degrading to
+// sequential execution. submit() pushes fire-and-forget tasks onto the
+// submitting worker's own deque (lock-free) or, from external threads,
+// onto a shared injection queue.
 //
-// Determinism is preserved by construction in both modes: the chunk
-// decomposition of a parallel_for range is a pure function of (n, grain)
-// -- grain-sized chunks at grain-aligned offsets -- and only the
-// chunk->thread assignment is dynamic. Every parallel reduction in the
-// tree (blas/blas1.hpp, sparse spmv) combines fixed-index per-chunk
-// partials in order, so results are bitwise identical across scheduler
-// modes, thread counts, and steal interleavings (proven cross-process by
-// tests/determinism_probe fixtures over VBATCH_SCHED x VBATCH_THREADS).
+// Determinism is preserved by construction: the chunk decomposition of
+// a parallel_for range is a pure function of (n, grain) -- grain-sized
+// chunks at grain-aligned offsets -- and only the chunk->thread
+// assignment is dynamic. Every parallel reduction in the tree
+// (blas/blas1.hpp, sparse spmv) combines fixed-index per-chunk partials
+// in order, so results are bitwise identical across thread counts and
+// steal interleavings (proven cross-process by tests/determinism_probe
+// fixtures over VBATCH_THREADS).
 //
 // Design notes (CP.4, CP.3): users submit *tasks* via parallel_for; the
 // pool never exposes raw threads. parallel_for bodies must not share
@@ -34,7 +30,7 @@
 // ever started from a worker's top-level loop, never from inside a
 // join -- nesting two same-session jobs on one stack would self-deadlock.
 //
-// Hot-path properties of parallel_for (both modes):
+// Hot-path properties of parallel_for:
 //  - Ranges at or below one grain run inline on the calling thread: no
 //    mutex, no wake, no type-erasure allocation. Small per-block solves
 //    cost exactly the loop body (plus, when VBATCH_POOL_STATS is armed,
@@ -90,23 +86,11 @@ inline bool pool_stats_on() noexcept {
 /// back to the automatic n/(8*threads) choice).
 inline constexpr size_type batch_entry_grain = 64;
 
-/// Scheduling discipline of a ThreadPool (see the header comment).
-enum class SchedMode {
-    stealing,  ///< per-worker deques, reentrant nested parallel_for
-    sharing,   ///< legacy single job slot, nested calls run inline
-};
-
-/// VBATCH_SCHED: "sharing" selects the legacy pool; anything else
-/// (unset, "stealing") selects the work-stealing scheduler.
-SchedMode sched_mode_from_env();
-
 class ThreadPool {
 public:
     /// Create a pool with `num_threads` workers; 0 means
-    /// hardware_concurrency() (at least 1). The mode defaults to the
-    /// VBATCH_SCHED environment probe.
+    /// hardware_concurrency() (at least 1).
     explicit ThreadPool(unsigned num_threads = 0);
-    ThreadPool(unsigned num_threads, SchedMode mode);
 
     ThreadPool(const ThreadPool&) = delete;
     ThreadPool& operator=(const ThreadPool&) = delete;
@@ -117,32 +101,16 @@ public:
         return static_cast<unsigned>(workers_.size()) + 1;  // + caller
     }
 
-    SchedMode mode() const noexcept {
-        return mode_.load(std::memory_order_relaxed);
-    }
-
-    /// Switch the dispatch discipline. The caller must have quiesced the
-    /// pool (no parallel_for in flight, no outstanding tasks); the
-    /// workers themselves service both disciplines at all times, so the
-    /// switch only redirects where *new* work is published. Used by
-    /// bench_scheduler for in-process A/B runs.
-    void set_mode(SchedMode mode) noexcept {
-        mode_.store(mode, std::memory_order_relaxed);
-    }
-
     /// Run body(i) for every i in [begin, end). Blocks until all
     /// iterations are done. Iterations are distributed in contiguous
     /// chunks of `grain` (0 = choose automatically); the decomposition
-    /// into chunks depends only on (n, grain), never on the scheduler
-    /// mode or on which thread runs a chunk. The calling thread
-    /// participates. body must be safe to invoke concurrently for
-    /// distinct i.
+    /// into chunks depends only on (n, grain), never on which thread
+    /// runs a chunk. The calling thread participates. body must be safe
+    /// to invoke concurrently for distinct i.
     ///
     /// Ranges that fit in one grain execute inline on the calling thread
-    /// without paying for dispatch. In sharing mode any call made from
-    /// inside a pool worker also runs inline (the legacy single job slot
-    /// is not reentrant); in stealing mode nested calls dispatch like
-    /// any other and their half-ranges are stolen by idle workers.
+    /// without paying for dispatch. Nested calls dispatch like any other
+    /// and their half-ranges are stolen by idle workers.
     template <typename F>
     void parallel_for(size_type begin, size_type end, const F& body,
                       size_type grain = 0) {
@@ -158,8 +126,7 @@ public:
             grain = std::max<size_type>(auto_grain_floor,
                                         n / (8 * size()));
         }
-        const bool sharing = mode() == SchedMode::sharing;
-        if (workers_.empty() || n <= grain || (sharing && in_worker())) {
+        if (workers_.empty() || n <= grain) {
             if (pool_stats_on()) {
                 const auto t0 = std::chrono::steady_clock::now();
                 for (size_type i = begin; i < end; ++i) {
@@ -173,13 +140,7 @@ public:
             }
             return;
         }
-        if (sharing) {
-            run_parallel(begin, end, FunctionRef<void(size_type)>(body),
-                         grain);
-        } else {
-            run_stealing(begin, end, FunctionRef<void(size_type)>(body),
-                         grain);
-        }
+        run_stealing(begin, end, FunctionRef<void(size_type)>(body), grain);
     }
 
     /// Enqueue an independent task for asynchronous execution by one
@@ -189,13 +150,13 @@ public:
     /// inline before submit returns. Tasks still queued at destruction
     /// run on the destroying thread, so a submitted task is never lost.
     ///
-    /// Stealing mode: a submit from a pool worker pushes onto that
-    /// worker's own deque (lock-free); external submitters go through
-    /// the shared injection queue. Sharing mode: always the queue.
+    /// A submit from a pool worker pushes onto that worker's own deque
+    /// (lock-free); external submitters go through the shared injection
+    /// queue.
     void submit(std::function<void()> task);
 
     /// Tasks accepted by submit() but not yet started (diagnostics;
-    /// includes per-worker deque contents in stealing mode).
+    /// includes per-worker deque contents).
     size_type queued_tasks() const;
 
     /// Threads currently blocked on the pool's condition variable, i.e.
@@ -207,10 +168,9 @@ public:
 
     /// The process-wide default pool. Sized by the VBATCH_THREADS
     /// environment variable when set to a positive integer, else to the
-    /// hardware; scheduled per VBATCH_SCHED. Results of every vbatch
-    /// parallel kernel are bitwise independent of both knobs
-    /// (deterministic chunked decomposition + in-order combination), so
-    /// they only trade latency, never accuracy.
+    /// hardware. Results of every vbatch parallel kernel are bitwise
+    /// independent of the size (deterministic chunked decomposition +
+    /// in-order combination), so it only trades latency, never accuracy.
     static ThreadPool& global();
 
     /// True while the calling thread is executing a parallel_for body or
@@ -240,19 +200,6 @@ private:
     /// execution (correct, just not accelerated).
     static constexpr std::size_t external_slots = 16;
 
-    // -- legacy (sharing) structures ----------------------------------
-    struct ParallelJob {
-        const FunctionRef<void(size_type)>* body = nullptr;
-        size_type begin = 0;
-        std::atomic<size_type> next{0};
-        size_type end = 0;
-        size_type grain = 1;
-        std::atomic<int> active_workers{0};
-        /// Most iterations claimed by a single participant (stats only).
-        std::atomic<size_type> max_claimed{0};
-    };
-
-    // -- stealing structures ------------------------------------------
     struct StealJob;
 
     /// A stealable half-open range [lo, hi) of `job` (job-relative
@@ -323,16 +270,11 @@ private:
 
     [[noreturn]] static size_type check_range(size_type begin,
                                               size_type end);
-    void run_parallel(size_type begin, size_type end,
-                      FunctionRef<void(size_type)> body, size_type grain);
     void run_stealing(size_type begin, size_type end,
                       FunctionRef<void(size_type)> body, size_type grain);
     void worker_loop(std::size_t stat_slot);
-    void drain(ParallelJob& job, ParticipantStat* stat);
     void run_task(std::function<void()>& task, std::size_t stat_slot);
     void note_inline_run(std::chrono::steady_clock::duration elapsed);
-
-    // -- stealing engine (thread_pool.cpp) ----------------------------
     void run_range(StealJob& job, size_type lo, size_type hi,
                    std::size_t slot, std::size_t stat_slot);
     void execute_range(const RangeTask* task, std::size_t slot,
@@ -348,26 +290,18 @@ private:
     std::size_t acquire_external_slot();
     void publish_wake();
     bool park(std::uint64_t seen_epoch);  // false = shutting down
-    ParallelJob* try_adopt_legacy_job(std::uint64_t& seen_epoch);
 
     std::vector<std::thread> workers_;
     mutable std::mutex mutex_;
     std::condition_variable cv_;
-    std::atomic<SchedMode> mode_{SchedMode::stealing};
-    ParallelJob* job_ = nullptr;     // guarded by mutex_; latest job
-    std::uint64_t job_epoch_ = 0;    // guarded by mutex_
-    bool shutdown_ = false;          // guarded by mutex_
+    bool shutdown_ = false;                   // guarded by mutex_
     std::atomic<bool> shutdown_flag_{false};  // lock-free mirror
-    /// Number of run_parallel calls currently between posting their job
-    /// and retiring it; workers consult the job slot only while > 0.
-    std::atomic<int> legacy_jobs_pending_{0};
     std::deque<std::unique_ptr<TaskNode>> tasks_;  // guarded by mutex_
-    std::condition_variable done_cv_;
-    /// Bumped on every publish (task, split, legacy job, completion,
-    /// shutdown); parked threads re-scan when it moves. The epoch is
-    /// read before scanning and re-checked under mutex_ before
-    /// sleeping, which closes the publish/park race without a lock on
-    /// the publish fast path when nobody sleeps.
+    /// Bumped on every publish (task, split, completion, shutdown);
+    /// parked threads re-scan when it moves. The epoch is read before
+    /// scanning and re-checked under mutex_ before sleeping, which
+    /// closes the publish/park race without a lock on the publish fast
+    /// path when nobody sleeps.
     std::atomic<std::uint64_t> wake_epoch_{0};
     std::atomic<int> sleepers_{0};
 
@@ -383,8 +317,6 @@ private:
     std::atomic<std::uint64_t> splits_{0};
     std::atomic<std::uint64_t> parks_{0};
     std::atomic<std::uint64_t> spin_wakes_{0};
-    std::atomic<std::uint64_t> imbalance_sum_permille_{0};
-    std::atomic<std::uint64_t> imbalance_last_permille_{0};
     std::chrono::steady_clock::time_point epoch_;
     bool is_global_source_ = false;  // set once for the global pool
 };

@@ -23,8 +23,9 @@
 //                   "branch_misses": n } },
 //     "pool":    { "workers": n, "armed": b, "wall_seconds": s,
 //                  "busy_seconds": s, "idle_seconds": s, "utilization": u,
-//                  "dispatches": n, "inline_runs": n,
-//                  "mean_imbalance": x, "last_imbalance": x },
+//                  "dispatches": n, "inline_runs": n, "steals": n,
+//                  "steal_fails": n, "splits": n, "parks": n,
+//                  "spin_wakes": n },
 //     "wall_seconds": <number>
 //   }
 // v1 -> v2: added the traffic/perf/pool objects (roofline accounting,

@@ -273,10 +273,6 @@ void write_pool_members(JsonWriter& json, const PoolTelemetry& pool) {
     json.value(static_cast<std::uint64_t>(pool.parks));
     json.key("spin_wakes");
     json.value(static_cast<std::uint64_t>(pool.spin_wakes));
-    json.key("mean_imbalance");
-    json.value(pool.mean_imbalance);
-    json.key("last_imbalance");
-    json.value(pool.last_imbalance);
     json.end_object();
 }
 

@@ -89,7 +89,7 @@ struct PoolTelemetry {
     double utilization = 0.0;   ///< busy / (workers * wall)
     size_type dispatches = 0;   ///< parallel_for calls that woke workers
     size_type inline_runs = 0;  ///< calls served by the inline fast path
-    // Work-stealing scheduler counters (zero under VBATCH_SCHED=sharing).
+    // Work-stealing scheduler counters.
     size_type steals = 0;       ///< range/task steals that succeeded
     size_type steal_fails = 0;  ///< steal attempts losing a CAS race
     size_type splits = 0;       ///< lazy binary half-range splits
@@ -98,10 +98,6 @@ struct PoolTelemetry {
     /// work ended during the spin; parks counts those that slept.
     size_type parks = 0;
     size_type spin_wakes = 0;
-    /// Chunk imbalance of a dispatched job: (max iterations claimed by
-    /// one participant) / (fair share). 1.0 = perfectly balanced.
-    double mean_imbalance = 0.0;
-    double last_imbalance = 0.0;
 };
 
 using PoolTelemetrySource = PoolTelemetry (*)();

@@ -126,13 +126,10 @@ void render_pool(std::string& out, const JsonValue& doc) {
     }
     if (was_armed) {
         appendf(out,
-                "  utilization %5.1f%%  busy %.3fs  idle %.3fs  "
-                "imbalance mean %.2fx last %.2fx\n",
+                "  utilization %5.1f%%  busy %.3fs  idle %.3fs\n",
                 member_num(*pool, "utilization") * 100.0,
                 member_num(*pool, "busy_seconds"),
-                member_num(*pool, "idle_seconds"),
-                member_num(*pool, "mean_imbalance"),
-                member_num(*pool, "last_imbalance"));
+                member_num(*pool, "idle_seconds"));
     } else {
         out += "  (telemetry disarmed; set VBATCH_POOL_STATS=1 for "
                "busy/idle attribution)\n";

@@ -27,11 +27,9 @@
 // Threading: Session::solve/update_values/submit are safe to call from
 // any thread; one session serializes its own requests through a session
 // mutex while distinct sessions proceed in parallel. Async jobs run as
-// ThreadPool tasks; under the stealing scheduler a job's nested
-// parallel loops spread across idle workers (under VBATCH_SCHED=sharing
-// they inline), and either way each job is deterministic
-// (bitwise-reproducible) regardless of how many other tenants run
-// beside it. The Engine must outlive its sessions; a session drains its
+// ThreadPool tasks; a job's nested parallel loops spread across idle
+// workers, and each job is deterministic (bitwise-reproducible)
+// regardless of how many other tenants run beside it. The Engine must outlive its sessions; a session drains its
 // own in-flight jobs on destruction.
 #pragma once
 

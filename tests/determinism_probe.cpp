@@ -1,8 +1,8 @@
 // Cross-process determinism probe: runs every Krylov solver over the full
 // hot path (nnz-balanced spmv, fused BLAS-1, block-Jacobi apply with both
 // LU backends) and writes an FNV-1a hash of all solution bit patterns to
-// argv[1]. CTest launches this binary under VBATCH_THREADS=1, 2 and 8 and
-// compares the output files byte for byte -- the pool size is fixed at
+// argv[1]. CTest launches this binary under VBATCH_THREADS=1, 2, 3, 8 and
+// 16 and compares the output files byte for byte -- the pool size is fixed at
 // startup, so thread-count independence can only be proven across
 // processes.
 #include <cstdint>
@@ -104,7 +104,7 @@ int main(int argc, char** argv) {
     // first column is zeroed breaks down at step one with a scale to
     // boost by, so the boost -> fallback -> lane-repack chain runs on
     // both backends and must be bitwise independent of the thread count
-    // and scheduler mode too.
+    // too.
     {
         auto broken = a;
         const auto layout = blocking::supervariable_layout(

@@ -450,10 +450,10 @@ TEST(BlockJacobiApply, PerformsNoHeapAllocations) {
             << backend_name(backend) << ": apply allocated";
     }
 
-    // The same contract on an explicit 4-thread stealing pool, whatever
+    // The same contract on an explicit 4-thread pool, whatever
     // VBATCH_THREADS sizes the global one: a dispatched parallel_for
     // splits lazily, and splitting must not allocate either.
-    ThreadPool pool(4, SchedMode::stealing);
+    ThreadPool pool(4);
     wait_until_workers_parked(pool);
     ThreadPool::set_stats_enabled(true);
     std::vector<double> out(1024);
@@ -468,7 +468,7 @@ TEST(BlockJacobiApply, PerformsNoHeapAllocations) {
     const long after = g_allocations.load(std::memory_order_relaxed);
     const auto t = pool.telemetry();
     ThreadPool::set_stats_enabled(false);
-    EXPECT_EQ(after - before, 0) << "stealing parallel_for allocated";
+    EXPECT_EQ(after - before, 0) << "dispatched parallel_for allocated";
     EXPECT_GT(t.splits, 0);
 }
 
@@ -544,36 +544,12 @@ TEST(ThreadPoolFastPath, SmallRangeRunsInline) {
     }
 }
 
-TEST(ThreadPoolFastPath, NestedParallelForRunsInlineWithoutDeadlock) {
-    // Sharing mode: the single job slot is not reentrant, so a nested
-    // call must degrade to sequential execution (deadlock otherwise).
-    ThreadPool pool(4, SchedMode::sharing);
-    std::atomic<int> inner_total{0};
-    std::atomic<int> marked_worker{0};
-    pool.parallel_for(
-        0, 8,
-        [&](size_type) {
-            if (ThreadPool::in_worker()) {
-                marked_worker.fetch_add(1, std::memory_order_relaxed);
-            }
-            pool.parallel_for(
-                0, 4,
-                [&](size_type) {
-                    inner_total.fetch_add(1, std::memory_order_relaxed);
-                },
-                1);
-        },
-        1);
-    EXPECT_EQ(marked_worker.load(), 8);
-    EXPECT_EQ(inner_total.load(), 32);
-    EXPECT_FALSE(ThreadPool::in_worker());
-}
-
 TEST(ThreadPoolFastPath, NestedParallelForDispatchesUnderStealing) {
-    // Stealing mode: a nested call splits into stealable half-ranges
-    // instead of inlining. Every (outer, inner) pair must still run
-    // exactly once, with no deadlock between the nested joins.
-    ThreadPool pool(4, SchedMode::stealing);
+    // A nested call splits into stealable half-ranges instead of
+    // inlining. Every (outer, inner) pair must still run exactly once,
+    // with no deadlock between the nested joins, and the body must see
+    // in_worker() raised only while it runs.
+    ThreadPool pool(4);
     constexpr int outer = 16;
     constexpr int inner = 64;
     std::vector<std::atomic<int>> hits(

@@ -623,8 +623,7 @@ const char* const canned_report_a = R"({
                         "llc_misses": 1.0, "branch_misses": 2.0}},
   "pool": {"workers": 4, "armed": true, "wall_seconds": 2.0,
            "busy_seconds": 6.0, "idle_seconds": 2.0, "utilization": 0.75,
-           "dispatches": 7, "inline_runs": 3,
-           "mean_imbalance": 1.1, "last_imbalance": 1.2}
+           "dispatches": 7, "inline_runs": 3}
 })";
 
 const char* const canned_report_b = R"({
@@ -649,8 +648,7 @@ const char* const canned_report_b = R"({
                         "fraction_of_roof": 0.1}},
   "perf": {}, "pool": {"workers": 1, "armed": false, "wall_seconds": 1.0,
            "busy_seconds": 0.0, "idle_seconds": 0.0, "utilization": 0.0,
-           "dispatches": 0, "inline_runs": 0,
-           "mean_imbalance": 0.0, "last_imbalance": 0.0}
+           "dispatches": 0, "inline_runs": 0}
 })";
 
 TEST(Prof, RenderReportShowsEverySection) {

@@ -1,14 +1,11 @@
 // Work-stealing scheduler tests: the Chase-Lev deque's exactly-once
 // contract under a multi-thief storm (the TSan target of the CI
 // sanitizer job), pool teardown with work still queued, nested
-// parallel_for storms, and in-process A/B between the two scheduling
-// modes.
+// parallel_for storms, external root callers, telemetry and parking.
 #include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -20,7 +17,6 @@
 
 namespace {
 
-using vbatch::SchedMode;
 using vbatch::size_type;
 using vbatch::StealResult;
 using vbatch::ThreadPool;
@@ -130,31 +126,29 @@ TEST(WorkDeque, StressOwnerVsThiefStorm) {
 }
 
 // Destroying a pool with tasks still queued must run every task exactly
-// once (the submit() never-lost contract), in both modes, including
-// tasks sitting in per-worker deques because workers submitted them.
+// once (the submit() never-lost contract), both those in the injection
+// queue (external submits) and those sitting in per-worker deques
+// because workers submitted them.
 TEST(Scheduler, TeardownRunsQueuedTasks) {
-    for (const SchedMode mode : {SchedMode::stealing, SchedMode::sharing}) {
-        constexpr int num_tasks = 64;
-        std::vector<std::atomic<int>> ran(num_tasks);
-        {
-            ThreadPool pool(4, mode);
-            for (int i = 0; i < num_tasks; ++i) {
-                pool.submit([&ran, &pool, i] {
-                    ran[static_cast<std::size_t>(i)].fetch_add(
-                        1, std::memory_order_relaxed);
-                    // Worker-side resubmission exercises the own-deque
-                    // push path under stealing.
-                    if (i % 8 == 0) {
-                        pool.submit([] {});
-                    }
-                });
-            }
-        }  // ~ThreadPool drains whatever has not run yet
+    constexpr int num_tasks = 64;
+    std::vector<std::atomic<int>> ran(num_tasks);
+    {
+        ThreadPool pool(4);
         for (int i = 0; i < num_tasks; ++i) {
-            EXPECT_EQ(ran[static_cast<std::size_t>(i)].load(), 1)
-                << "task " << i << " mode "
-                << (mode == SchedMode::stealing ? "stealing" : "sharing");
+            pool.submit([&ran, &pool, i] {
+                ran[static_cast<std::size_t>(i)].fetch_add(
+                    1, std::memory_order_relaxed);
+                // Worker-side resubmission exercises the own-deque push
+                // path.
+                if (i % 8 == 0) {
+                    pool.submit([] {});
+                }
+            });
         }
+    }  // ~ThreadPool drains whatever has not run yet
+    for (int i = 0; i < num_tasks; ++i) {
+        EXPECT_EQ(ran[static_cast<std::size_t>(i)].load(), 1)
+            << "task " << i;
     }
 }
 
@@ -164,7 +158,7 @@ TEST(Scheduler, TeardownRunsQueuedTasks) {
 TEST(Scheduler, NestedParallelForStorm) {
     constexpr int num_tasks = 24;
     constexpr int range = 512;
-    ThreadPool pool(4, SchedMode::stealing);
+    ThreadPool pool(4);
     std::vector<std::atomic<int>> hits(
         static_cast<std::size_t>(num_tasks * range));
     std::atomic<int> tasks_done{0};
@@ -193,7 +187,7 @@ TEST(Scheduler, NestedParallelForStorm) {
 TEST(Scheduler, ConcurrentExternalRootCalls) {
     constexpr int num_clients = 6;
     constexpr int range = 1024;
-    ThreadPool pool(3, SchedMode::stealing);
+    ThreadPool pool(3);
     std::vector<std::atomic<int>> hits(
         static_cast<std::size_t>(num_clients * range));
     std::vector<std::thread> clients;
@@ -217,51 +211,10 @@ TEST(Scheduler, ConcurrentExternalRootCalls) {
     }
 }
 
-// set_mode flips where new work is published; both disciplines must
-// produce identical coverage on the same pool instance (the in-process
-// A/B mechanism bench_scheduler relies on).
-TEST(Scheduler, ModeFlipOnQuiescedPool) {
-    ThreadPool pool(4, SchedMode::stealing);
-    EXPECT_EQ(pool.mode(), SchedMode::stealing);
-    constexpr int range = 2048;
-    std::vector<std::atomic<int>> hits(range);
-    const auto sweep = [&] {
-        pool.parallel_for(
-            0, range,
-            [&](size_type i) {
-                hits[static_cast<std::size_t>(i)].fetch_add(
-                    1, std::memory_order_relaxed);
-            },
-            32);
-    };
-    sweep();
-    pool.set_mode(SchedMode::sharing);
-    EXPECT_EQ(pool.mode(), SchedMode::sharing);
-    sweep();
-    pool.set_mode(SchedMode::stealing);
-    sweep();
-    for (const auto& h : hits) {
-        EXPECT_EQ(h.load(), 3);
-    }
-}
-
-TEST(Scheduler, EnvSelectsMode) {
-    // The probe defaults to stealing; only the literal "sharing" selects
-    // the legacy pool. A default-constructed pool adopts the probe.
-    const char* env = std::getenv("VBATCH_SCHED");
-    const SchedMode expected =
-        env != nullptr && std::string(env) == "sharing"
-            ? SchedMode::sharing
-            : SchedMode::stealing;
-    EXPECT_EQ(vbatch::sched_mode_from_env(), expected);
-    ThreadPool pool(2);
-    EXPECT_EQ(pool.mode(), expected);
-}
-
 // Steal/split/park counters flow into PoolTelemetry when armed.
 TEST(Scheduler, TelemetryCountsStealActivity) {
     ThreadPool::set_stats_enabled(true);
-    ThreadPool pool(4, SchedMode::stealing);
+    ThreadPool pool(4);
     std::atomic<std::int64_t> sum{0};
     for (int rep = 0; rep < 8; ++rep) {
         pool.parallel_for(
@@ -291,7 +244,7 @@ TEST(Scheduler, TelemetryCountsStealActivity) {
 // an oversubscribed host.
 TEST(Scheduler, IdleWorkersParkAfterSpinning) {
     ThreadPool::set_stats_enabled(true);
-    ThreadPool pool(4, SchedMode::stealing);
+    ThreadPool pool(4);
     std::atomic<std::int64_t> sum{0};
     pool.parallel_for(
         0, 4096,
@@ -311,12 +264,12 @@ TEST(Scheduler, IdleWorkersParkAfterSpinning) {
     EXPECT_GE(t.parks, 3);
 }
 
-// The satellite fix: nested inline runs (n <= grain inside a worker)
-// must show up in inline_runs and the busy accounting instead of
-// vanishing from vbatch_prof's utilization table.
+// Nested inline runs (n <= grain inside a participating thread) must
+// show up in inline_runs and the busy accounting instead of vanishing
+// from vbatch_prof's utilization table.
 TEST(Scheduler, NestedInlineRunsAreAccounted) {
     ThreadPool::set_stats_enabled(true);
-    ThreadPool pool(2, SchedMode::sharing);
+    ThreadPool pool(2);
     const auto before = pool.telemetry();
     std::atomic<int> total{0};
     pool.parallel_for(

@@ -146,8 +146,7 @@ void check_pool(const std::string& path, const JsonValue& pool) {
     for (const char* key :
          {"workers", "wall_seconds", "busy_seconds", "idle_seconds",
           "utilization", "dispatches", "inline_runs", "steals",
-          "steal_fails", "splits", "parks", "spin_wakes",
-          "mean_imbalance", "last_imbalance"}) {
+          "steal_fails", "splits", "parks", "spin_wakes"}) {
         require(path, pool, key, JsonValue::Type::number);
     }
     require(path, pool, "armed", JsonValue::Type::boolean);
