@@ -1,9 +1,10 @@
 // Solver hot-path benchmark: measures the per-iteration building blocks
-// of the Krylov solvers on a skewed-nnz matrix (the circuit-like stress
+// of the IDR(s) solver on a skewed-nnz matrix (the circuit-like stress
 // case) and reports optimized-over-reference speedups.
 //
 //   spmv      nnz-balanced parallel CSR SpMV   vs serial row loop
-//   blas1     fused CG update (one sweep)      vs blas::ref axpy+axpy+nrm2
+//   blas1     IDR x/r update (axpy + fused     vs blas::ref axpy+axpy+nrm2
+//             axpy_norm2)
 //   apply     block-Jacobi lu_simd pooled      vs serial lu (1-lane) apply
 //   iteration all three chained                vs all three reference
 //
@@ -113,7 +114,7 @@ int main() {
     // roofline attribution. The apply model includes the streamed
     // factors, not just r/z, so its GB/s is comparable across backends.
     const double spmv_bytes = vb::core::spmv_bytes<double>(n, a.nnz());
-    const double blas1_bytes = vb::core::fused_cg_update_bytes<double>(n);
+    const double blas1_bytes = 2.0 * vb::core::axpy_bytes<double>(n);
     const double apply_bytes = prec_opt.apply_bytes();
 
     bool bitwise = true;
@@ -132,7 +133,8 @@ int main() {
     const PhaseResult spmv{t_spmv_ref / t_spmv_opt,
                            spmv_bytes / t_spmv_opt * 1e-9, y_ref == y_opt};
 
-    // -- Fused BLAS-1 (CG update chain) -------------------------------
+    // -- BLAS-1 (IDR iterate/residual update, idr.cpp) ----------------
+    // x += alpha * u; r += (-alpha) * g; ||r||, with u = p and g = q.
     const double alpha = 0.125;
     std::vector<double> x1(xvec), r1(q), x2(xvec), r2(q);
     const double t_blas_ref = time_best(reps, [&] {
@@ -143,10 +145,10 @@ int main() {
         (void)vb::blas::ref::nrm2(std::span<const double>(r1));
     });
     const double t_blas_opt = time_best(reps, [&] {
-        (void)vb::blas::fused_cg_update(alpha, std::span<const double>(p),
-                                        std::span<const double>(q),
-                                        std::span<double>(x2),
-                                        std::span<double>(r2));
+        vb::blas::axpy(alpha, std::span<const double>(p),
+                       std::span<double>(x2));
+        (void)vb::blas::fused_axpy_norm2(-alpha, std::span<const double>(q),
+                                         std::span<double>(r2));
     });
     // Both paths ran `reps` identical updates from the same start, so the
     // iterates must agree bitwise (chunked == textbook order per element).
@@ -182,10 +184,11 @@ int main() {
     });
     const double t_iter_opt = time_best(reps, [&] {
         a.spmv(std::span<const double>(xvec), std::span<double>(y_opt));
-        (void)vb::blas::fused_cg_update(alpha, std::span<const double>(p),
-                                        std::span<const double>(y_opt),
-                                        std::span<double>(x2),
-                                        std::span<double>(r2));
+        vb::blas::axpy(alpha, std::span<const double>(p),
+                       std::span<double>(x2));
+        (void)vb::blas::fused_axpy_norm2(-alpha,
+                                         std::span<const double>(y_opt),
+                                         std::span<double>(r2));
         prec_opt.apply(std::span<const double>(r2), std::span<double>(z_opt));
     });
     const double iter_speedup = t_iter_ref / t_iter_opt;

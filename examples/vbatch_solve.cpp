@@ -4,12 +4,10 @@
 //     --matrix <file.mtx>     Matrix Market input (default: a built-in
 //                             convection-diffusion test problem)
 //     --suite <case-name>     use a case from the 48-matrix suite instead
-//     --solver idr|bicgstab|gmres|cg          (default idr)
 //     --precond <backend>     any registered preconditioner backend
 //                             (none|jacobi|lu|lu-simd|gh|gh-t|gje|
 //                              gje-inv|cholesky)        (default lu)
 //     --block-size <1..32>    supervariable bound       (default 32)
-//     --rcm                   reverse Cuthill-McKee pre-ordering
 //     --recovery strict|boost|full   breakdown policy   (default full)
 //     --inject-singular <n>   zero n diagonal blocks before the setup
 //                             (exercises the recovery pipeline)
@@ -17,8 +15,8 @@
 //     --max-iters <n>         iteration budget          (default 10000)
 //     --idr-s <s>             IDR shadow dimension      (default 4)
 //
-// Prints a MAGMA-sparse-style convergence report plus the per-block
-// recovery summary, and emits BENCH_vbatch_solve.json when
+// Solves with IDR(s), prints a MAGMA-sparse-style convergence report plus
+// the per-block recovery summary, and emits BENCH_vbatch_solve.json when
 // VBATCH_BENCH_JSON is set.
 #include <cstdio>
 #include <cstring>
@@ -26,7 +24,6 @@
 #include <vector>
 
 #include "blocking/extraction.hpp"
-#include "blocking/rcm.hpp"
 #include "blocking/supervariable.hpp"
 #include "obs/bench_report.hpp"
 #include "precond/config.hpp"
@@ -42,11 +39,9 @@ namespace {
 struct Options {
     std::string matrix_file;
     std::string suite_case;
-    std::string solver = "idr";
     std::string precond = "lu";
     std::string recovery = "full";
     vb::index_type block_size = 32;
-    bool rcm = false;
     vb::size_type inject_singular = 0;
     double tol = 1e-6;
     vb::index_type max_iters = 10000;
@@ -64,14 +59,13 @@ struct Options {
         }
         return out;
     };
-    const std::string solvers = join(vb::solvers::registered_solvers());
     const std::string backends = join(vb::precond::registered_backends());
     std::printf(
-        "usage: %s [--matrix f.mtx | --suite case] [--solver %s] "
-        "[--precond %s] [--block-size n] [--rcm] "
+        "usage: %s [--matrix f.mtx | --suite case] "
+        "[--precond %s] [--block-size n] "
         "[--recovery strict|boost|full] [--inject-singular n] [--tol t] "
         "[--max-iters n] [--idr-s s]\n",
-        argv0, solvers.c_str(), backends.c_str());
+        argv0, backends.c_str());
     std::exit(2);
 }
 
@@ -89,14 +83,10 @@ Options parse(int argc, char** argv) {
             o.matrix_file = next();
         } else if (arg == "--suite") {
             o.suite_case = next();
-        } else if (arg == "--solver") {
-            o.solver = next();
         } else if (arg == "--precond") {
             o.precond = next();
         } else if (arg == "--block-size") {
             o.block_size = std::atoi(next());
-        } else if (arg == "--rcm") {
-            o.rcm = true;
         } else if (arg == "--recovery") {
             o.recovery = next();
         } else if (arg == "--inject-singular") {
@@ -133,8 +123,7 @@ vb::precond::RecoveryPolicy recovery_policy(const Options& opts,
 
 int main(int argc, char** argv) {
     const auto opts = parse(argc, argv);
-    if (!vb::precond::backend_registered(opts.precond) ||
-        !vb::solvers::solver_registered(opts.solver)) {
+    if (!vb::precond::backend_registered(opts.precond)) {
         usage(argv[0]);
     }
     try {
@@ -154,16 +143,6 @@ int main(int argc, char** argv) {
         }();
         std::printf("matrix: n = %d, nnz = %lld\n", a.num_rows(),
                     static_cast<long long>(a.nnz()));
-
-        std::vector<vb::index_type> perm;
-        if (opts.rcm) {
-            perm = vb::blocking::reverse_cuthill_mckee(a);
-            const auto before = vb::blocking::bandwidth(a);
-            a = vb::blocking::permute_symmetric(
-                a, std::span<const vb::index_type>(perm));
-            std::printf("RCM: bandwidth %d -> %d\n", before,
-                        vb::blocking::bandwidth(a));
-        }
 
         // --- preconditioner ---
         vb::precond::Config config;
@@ -206,7 +185,6 @@ int main(int argc, char** argv) {
         std::vector<double> b(static_cast<std::size_t>(a.num_rows()), 1.0);
         std::vector<double> x(b.size(), 0.0);
         vb::solvers::Config solver_config;
-        solver_config.method = opts.solver;
         solver_config.rel_tol = opts.tol;
         solver_config.max_iters = opts.max_iters;
         solver_config.idr_s = opts.idr_s;
@@ -215,15 +193,15 @@ int main(int argc, char** argv) {
         const auto result = solver->solve(a, std::span<const double>(b),
                                           std::span<double>(x), *prec);
 
-        std::printf("%s: %s after %d iterations, ||r||/||r0|| = %.3e, "
+        std::printf("idr(%d): %s after %d iterations, ||r||/||r0|| = %.3e, "
                     "solve %.3f ms, total %.3f ms\n",
-                    opts.solver.c_str(), to_string(result.status),
+                    opts.idr_s, to_string(result.status),
                     result.iterations, result.relative_residual(),
                     result.solve_seconds * 1e3,
                     (result.solve_seconds + prec->setup_seconds()) * 1e3);
 
         vb::obs::BenchReport report("vbatch_solve");
-        report.config("solver", opts.solver);
+        report.config("solver", solver_config.method);
         report.config("precond", opts.precond);
         report.config("recovery", opts.recovery);
         report.config("n", a.num_rows());

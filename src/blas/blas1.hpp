@@ -120,17 +120,6 @@ void axpy(T alpha, std::span<const T> x, std::span<T> y) {
     });
 }
 
-/// y := x + beta * y
-template <typename T>
-void xpby(std::span<const T> x, T beta, std::span<T> y) {
-    VBATCH_ENSURE_DIMS(x.size() == y.size());
-    detail::for_chunks(x.size(), [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-            y[i] = x[i] + beta * y[i];
-        }
-    });
-}
-
 /// x := alpha * x
 template <typename T>
 void scal(T alpha, std::span<T> x) {

@@ -26,15 +26,6 @@ void axpy(T alpha, std::span<const T> x, std::span<T> y) {
     }
 }
 
-/// y := x + beta * y
-template <typename T>
-void xpby(std::span<const T> x, T beta, std::span<T> y) {
-    VBATCH_ENSURE_DIMS(x.size() == y.size());
-    for (std::size_t i = 0; i < x.size(); ++i) {
-        y[i] = x[i] + beta * y[i];
-    }
-}
-
 /// x := alpha * x
 template <typename T>
 void scal(T alpha, std::span<T> x) {

@@ -1,5 +1,5 @@
-// Level-3 BLAS (small sizes; used by the IDR(s) shadow-space updates and
-// the GMRES Hessenberg handling, never on the critical batched path).
+// Level-3 BLAS (small sizes; reference products for the factorization
+// tests, never on the critical batched path).
 #pragma once
 
 #include <type_traits>

@@ -1,9 +1,9 @@
 // Fused BLAS-1 kernels for the Krylov solver hot path.
 //
-// Each per-iteration vector update in cg/bicgstab/idr/gmres used to be a
-// chain of separate axpy/dot/nrm2 sweeps; on long vectors every sweep is
-// a full trip through memory, so the iteration cost was dominated by
-// redundant passes (the bandwidth argument of Anzt et al., ICPP 2017).
+// Each per-iteration vector update in IDR(s) used to be a chain of
+// separate axpy/dot/nrm2 sweeps; on long vectors every sweep is a full
+// trip through memory, so the iteration cost was dominated by redundant
+// passes (the bandwidth argument of Anzt et al., ICPP 2017).
 // The kernels here fuse the chains into single sweeps -- each element is
 // loaded once, updated, and folded into whatever reductions ride along.
 //
@@ -14,10 +14,9 @@
 // composition (asserted by tests/test_hotpath.cpp) and bitwise stable
 // across thread counts.
 //
-// multi_dot / multi_axpy batch the Arnoldi projection of GMRES (and the
-// shadow-space products of IDR): k dot products against one vector in a
-// single sweep instead of k, with per-column results bitwise equal to k
-// separate blas::dot calls.
+// multi_dot / multi_axpy batch the shadow-space products of IDR: k dot
+// products against one vector in a single sweep instead of k, with
+// per-column results bitwise equal to k separate blas::dot calls.
 #pragma once
 
 #include <array>
@@ -72,83 +71,6 @@ T fused_axpy_norm2(T alpha, std::span<const T> x, std::span<T> y) {
             for (std::size_t i = lo; i < hi; ++i) {
                 y[i] += alpha * x[i];
                 acc += y[i] * y[i];
-            }
-            return acc;
-        });
-    return std::sqrt(sq);
-}
-
-/// x += alpha * p; r += (-alpha) * q; returns ||r||_2. The whole CG
-/// iterate/residual update in one sweep (was: axpy + axpy + nrm2).
-template <typename T>
-T fused_cg_update(T alpha, std::span<const T> p, std::span<const T> q,
-                  std::span<T> x, std::span<T> r) {
-    VBATCH_ENSURE_DIMS(p.size() == x.size() && q.size() == r.size() &&
-                       x.size() == r.size());
-    detail::record_fused(6 * sizeof(T) * x.size());
-    const T neg_alpha = -alpha;
-    const T sq = detail::reduce_chunks<T>(
-        r.size(), [&](std::size_t lo, std::size_t hi) {
-            T acc{};
-            for (std::size_t i = lo; i < hi; ++i) {
-                x[i] += alpha * p[i];
-                r[i] += neg_alpha * q[i];
-                acc += r[i] * r[i];
-            }
-            return acc;
-        });
-    return std::sqrt(sq);
-}
-
-/// p := r + beta * (p - omega * v). (BiCGSTAB direction update.)
-template <typename T>
-void fused_bicg_p_update(T beta, T omega, std::span<const T> r,
-                         std::span<const T> v, std::span<T> p) {
-    VBATCH_ENSURE_DIMS(r.size() == p.size() && v.size() == p.size());
-    detail::record_fused(4 * sizeof(T) * p.size());
-    detail::for_chunks(p.size(), [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-            p[i] = r[i] + beta * (p[i] - omega * v[i]);
-        }
-    });
-}
-
-/// s := r - alpha * v; returns ||s||_2.
-template <typename T>
-T fused_sub_axpy_norm2(T alpha, std::span<const T> r, std::span<const T> v,
-                       std::span<T> s) {
-    VBATCH_ENSURE_DIMS(r.size() == s.size() && v.size() == s.size());
-    detail::record_fused(3 * sizeof(T) * s.size());
-    const T sq = detail::reduce_chunks<T>(
-        s.size(), [&](std::size_t lo, std::size_t hi) {
-            T acc{};
-            for (std::size_t i = lo; i < hi; ++i) {
-                s[i] = r[i] - alpha * v[i];
-                acc += s[i] * s[i];
-            }
-            return acc;
-        });
-    return std::sqrt(sq);
-}
-
-/// x += alpha * phat + omega * shat; r := s - omega * t; returns ||r||_2.
-/// (BiCGSTAB end-of-iteration update: was two sweeps plus a norm.)
-template <typename T>
-T fused_bicg_xr_update(T alpha, std::span<const T> phat, T omega,
-                       std::span<const T> shat, std::span<const T> s,
-                       std::span<const T> t, std::span<T> x,
-                       std::span<T> r) {
-    VBATCH_ENSURE_DIMS(phat.size() == x.size() && shat.size() == x.size() &&
-                       s.size() == r.size() && t.size() == r.size() &&
-                       x.size() == r.size());
-    detail::record_fused(8 * sizeof(T) * x.size());
-    const T sq = detail::reduce_chunks<T>(
-        r.size(), [&](std::size_t lo, std::size_t hi) {
-            T acc{};
-            for (std::size_t i = lo; i < hi; ++i) {
-                x[i] += alpha * phat[i] + omega * shat[i];
-                r[i] = s[i] - omega * t[i];
-                acc += r[i] * r[i];
             }
             return acc;
         });
@@ -221,19 +143,6 @@ void fused_axpby(T alpha, std::span<const T> x, T beta, std::span<T> y) {
     detail::for_chunks(y.size(), [&](std::size_t lo, std::size_t hi) {
         for (std::size_t i = lo; i < hi; ++i) {
             y[i] = alpha * x[i] + beta * y[i];
-        }
-    });
-}
-
-/// y := x / denom (kept as a division to match the unfused loops bitwise;
-/// do not rewrite as multiplication by the reciprocal).
-template <typename T>
-void fused_div_copy(std::span<const T> x, T denom, std::span<T> y) {
-    VBATCH_ENSURE_DIMS(x.size() == y.size());
-    detail::record_fused(2 * sizeof(T) * y.size());
-    detail::for_chunks(y.size(), [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-            y[i] = x[i] / denom;
         }
     });
 }

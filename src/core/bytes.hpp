@@ -102,23 +102,4 @@ double copy_bytes(size_type n) {
     return 2.0 * static_cast<double>(n) * static_cast<double>(sizeof(T));
 }
 
-/// p := z + beta p: read z, read + write p.
-template <typename T>
-double xpby_bytes(size_type n) {
-    return 3.0 * static_cast<double>(n) * static_cast<double>(sizeof(T));
-}
-
-/// Fused CG update (x += alpha p; r -= alpha q; ||r||): read p and q,
-/// read + write x and r -- six streams in one sweep.
-template <typename T>
-double fused_cg_update_bytes(size_type n) {
-    return 6.0 * static_cast<double>(n) * static_cast<double>(sizeof(T));
-}
-
-/// Fused residual (r := b - r; ||r||): read b, read + write r.
-template <typename T>
-double fused_residual_norm2_bytes(size_type n) {
-    return 3.0 * static_cast<double>(n) * static_cast<double>(sizeof(T));
-}
-
 }  // namespace vbatch::core

@@ -40,7 +40,6 @@
 #include <memory>
 #include <mutex>
 #include <span>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -91,8 +90,7 @@ struct SolveRequest {
     /// match the session matrix's nnz.
     std::vector<T> values;
     std::vector<T> rhs;
-    /// Per-request overrides; zero/empty = the session defaults.
-    std::string solver;
+    /// Per-request overrides; zero = the session defaults.
     double rel_tol = 0.0;
     index_type max_iters = 0;
 };
@@ -202,12 +200,8 @@ private:
         }
         const solvers::Solver<T>* solver = solver_.get();
         solvers::SolverPtr<T> override_solver;
-        if (!request.solver.empty() || request.rel_tol > 0.0 ||
-            request.max_iters > 0) {
+        if (request.rel_tol > 0.0 || request.max_iters > 0) {
             auto config = options_.solver;
-            if (!request.solver.empty()) {
-                config.method = request.solver;
-            }
             if (request.rel_tol > 0.0) {
                 config.rel_tol = request.rel_tol;
             }

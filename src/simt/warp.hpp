@@ -208,58 +208,6 @@ public:
         return r;
     }
 
-    /// r[l] = a[l] / s[l] with a per-lane divisor (used by the packed
-    /// sub-warp kernels, where each half has its own pivot).
-    template <typename T>
-    Reg<T> div(lane_mask mask, const Reg<T>& a, const Reg<T>& s,
-               lane_mask useful_lanes) {
-        ++stats_.div_instructions;
-        stats_.useful_flops += popcount(mask & useful_lanes);
-        Reg<T> r = a;
-        for_each_lane(mask, [&](int l) { r[l] = a[l] / s[l]; });
-        return r;
-    }
-
-    /// r[l] = c[l] - a[l] * s[l] with a per-lane multiplier.
-    template <typename T>
-    Reg<T> fnma(lane_mask mask, const Reg<T>& a, const Reg<T>& s,
-                const Reg<T>& c, lane_mask useful_lanes) {
-        ++stats_.fp_instructions;
-        stats_.useful_flops += 2 * popcount(mask & useful_lanes);
-        Reg<T> r = c;
-        for_each_lane(mask, [&](int l) { r[l] = c[l] - a[l] * s[l]; });
-        return r;
-    }
-
-    /// Xor-shuffle argmax of |v| restricted to each half-warp segment of
-    /// `mask` independently (a 4-step __shfl_xor reduction serves both
-    /// halves simultaneously). Returns {value, lane} per half; a half with
-    /// empty mask yields {0, -1}.
-    template <typename T>
-    std::array<std::pair<T, index_type>, 2> reduce_absmax_halves(
-        lane_mask mask, const Reg<T>& v) {
-        stats_.shuffle_instructions += 4;
-        stats_.misc_instructions += 4;
-        std::array<std::pair<T, index_type>, 2> out{
-            std::pair<T, index_type>{T{}, -1},
-            std::pair<T, index_type>{T{}, -1}};
-        for (int half = 0; half < 2; ++half) {
-            const lane_mask seg = half == 0 ? (mask & 0xffffu)
-                                            : (mask & 0xffff0000u);
-            T best{};
-            index_type lane = -1;
-            for_each_lane(seg, [&](int l) {
-                const T a = std::abs(v[l]);
-                if (lane < 0 || a > std::abs(best)) {
-                    best = a;
-                    lane = l;
-                }
-            });
-            out[half] = {best, lane};
-        }
-        return out;
-    }
-
     // ---------------------------------------------------------------
     // Global memory (sector-based transaction counting)
     //

@@ -1,33 +1,24 @@
-// Unified solver configuration and string-keyed factory, mirroring
-// precond::Config / make_preconditioner.
+// Solver configuration and factory, mirroring precond::Config /
+// make_preconditioner: one POD carries the method key and the IDR(s)
+// knobs, and make_solver turns it into a Solver the benches, examples and
+// the service layer hold without naming the solver function.
 //
-// Benches, examples and the service layer used to hand-roll an if/else
-// chain over the solver free functions (idr/bicgstab/gmres/cg) each time
-// a method name arrived from a CLI flag or a request. The Config +
-// make_solver pair centralizes that: one POD carries the method key and
-// every per-method knob, and the registry maps keys to type-erased
-// Solver objects so downstream tools never switch on the method again.
-//
-// Built-in keys: "cg", "bicgstab", "idr", "gmres". register_solver()
-// adds project-specific ones.
+// The only method is "idr", the IDR(4) of the paper's solver study.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
+#include "solvers/idr.hpp"
 #include "solvers/solver_base.hpp"
 #include "sparse/csr.hpp"
 
 namespace vbatch::solvers {
 
-/// Everything needed to select and tune a solver, in one place. Fields a
-/// method does not use are ignored (e.g. "cg" ignores the IDR shadow
-/// space and the GMRES restart).
+/// Everything needed to select and tune a solver, in one place.
 struct Config {
-    /// Registered method key; see registered_solvers().
+    /// Method key; "idr" is the only one.
     std::string method = "idr";
     /// Stop when ||r|| <= rel_tol * ||r0||.
     double rel_tol = 1e-6;
@@ -45,57 +36,46 @@ struct Config {
     double idr_kappa = 0.7;
     /// IDR(s): minimal-residual smoothing.
     bool idr_smoothing = false;
-    /// GMRES: restart length.
-    index_type gmres_restart = 30;
 
-    /// The base options shared by every method, extracted once.
-    SolverOptions base() const {
-        SolverOptions o;
+    /// The IDR(s) options these fields select.
+    IdrOptions idr_options() const {
+        IdrOptions o;
         o.rel_tol = rel_tol;
         o.max_iters = max_iters;
         o.keep_residual_history = keep_residual_history;
         o.collect_phase_times = collect_phase_times;
+        o.s = idr_s;
+        o.shadow_seed = idr_shadow_seed;
+        o.kappa = idr_kappa;
+        o.smoothing = idr_smoothing;
         return o;
     }
 };
 
-/// Type-erased solver handle: solve A x = b with the method and knobs
-/// baked in at make_solver time. x holds the initial guess on entry and
-/// the solution on exit. Stateless and immutable after construction, so
-/// one instance may be shared by concurrent solves on distinct vectors.
+/// Solver handle: solve A x = b with the knobs baked in at make_solver
+/// time. x holds the initial guess on entry and the solution on exit.
+/// Immutable after construction, so one instance may be shared by
+/// concurrent solves on distinct vectors.
 template <typename T>
 class Solver {
 public:
-    virtual ~Solver() = default;
-    virtual SolveResult solve(const sparse::Csr<T>& a, std::span<const T> b,
-                              std::span<T> x,
-                              const precond::Preconditioner<T>& prec)
-        const = 0;
-    /// The registered key this solver was built from.
-    virtual std::string name() const = 0;
+    explicit Solver(const IdrOptions& opts) : opts_(opts) {}
+    SolveResult solve(const sparse::Csr<T>& a, std::span<const T> b,
+                      std::span<T> x,
+                      const precond::Preconditioner<T>& prec) const {
+        return idr(a, b, x, prec, opts_);
+    }
+
+private:
+    IdrOptions opts_;
 };
 
 template <typename T>
 using SolverPtr = std::unique_ptr<Solver<T>>;
 
-/// Constructor signature kept by the registry.
-template <typename T>
-using SolverFactory = std::function<SolverPtr<T>(const Config&)>;
-
 /// Build the solver selected by config.method. Throws
-/// vbatch::BadParameter (listing the registered keys) on an unknown
-/// method.
+/// vbatch::BadParameter on any method other than "idr".
 template <typename T>
 SolverPtr<T> make_solver(const Config& config = {});
-
-/// Register (or replace) a method under `name` for value type T.
-/// Registration is not thread-safe; do it during startup.
-template <typename T>
-void register_solver(const std::string& name, SolverFactory<T> factory);
-
-/// Sorted list of keys with at least one registered value type.
-std::vector<std::string> registered_solvers();
-
-bool solver_registered(const std::string& name);
 
 }  // namespace vbatch::solvers

@@ -1,175 +1,19 @@
 #include "solvers/config.hpp"
 
-#include <map>
-#include <utility>
-
 #include "base/exception.hpp"
-#include "solvers/bicgstab.hpp"
-#include "solvers/cg.hpp"
-#include "solvers/gmres.hpp"
-#include "solvers/idr.hpp"
 
 namespace vbatch::solvers {
 
-namespace {
-
-/// One registry row: a constructor per supported value type (either may
-/// be empty when a custom method registers only one precision).
-struct Entry {
-    SolverFactory<float> f32;
-    SolverFactory<double> f64;
-};
-
-template <typename T>
-SolverFactory<T>& slot(Entry& e);
-template <>
-SolverFactory<float>& slot<float>(Entry& e) {
-    return e.f32;
-}
-template <>
-SolverFactory<double>& slot<double>(Entry& e) {
-    return e.f64;
-}
-
-/// Adapter turning one solver free function + its options struct into
-/// the type-erased Solver interface.
-template <typename T, typename Opts>
-class FnSolver final : public Solver<T> {
-public:
-    using Fn = SolveResult (*)(const sparse::Csr<T>&, std::span<const T>,
-                               std::span<T>,
-                               const precond::Preconditioner<T>&,
-                               const Opts&);
-    FnSolver(std::string key, Fn fn, Opts opts)
-        : key_(std::move(key)), fn_(fn), opts_(std::move(opts)) {}
-    SolveResult solve(const sparse::Csr<T>& a, std::span<const T> b,
-                      std::span<T> x,
-                      const precond::Preconditioner<T>& prec)
-        const override {
-        return fn_(a, b, x, prec, opts_);
-    }
-    std::string name() const override { return key_; }
-
-private:
-    std::string key_;
-    Fn fn_;
-    Opts opts_;
-};
-
-template <typename T>
-SolverPtr<T> make_cg(const Config& c) {
-    return std::make_unique<FnSolver<T, SolverOptions>>("cg", &cg<T>,
-                                                        c.base());
-}
-
-template <typename T>
-SolverPtr<T> make_bicgstab(const Config& c) {
-    return std::make_unique<FnSolver<T, SolverOptions>>(
-        "bicgstab", &bicgstab<T>, c.base());
-}
-
-template <typename T>
-SolverPtr<T> make_idr(const Config& c) {
-    IdrOptions opts;
-    static_cast<SolverOptions&>(opts) = c.base();
-    opts.s = c.idr_s;
-    opts.shadow_seed = c.idr_shadow_seed;
-    opts.kappa = c.idr_kappa;
-    opts.smoothing = c.idr_smoothing;
-    return std::make_unique<FnSolver<T, IdrOptions>>("idr", &idr<T>,
-                                                     opts);
-}
-
-template <typename T>
-SolverPtr<T> make_gmres(const Config& c) {
-    GmresOptions opts;
-    static_cast<SolverOptions&>(opts) = c.base();
-    opts.restart = c.gmres_restart;
-    return std::make_unique<FnSolver<T, GmresOptions>>("gmres", &gmres<T>,
-                                                       opts);
-}
-
-template <SolverPtr<float> (*F32)(const Config&),
-          SolverPtr<double> (*F64)(const Config&)>
-Entry builtin_entry() {
-    Entry e;
-    e.f32 = [](const Config& c) { return F32(c); };
-    e.f64 = [](const Config& c) { return F64(c); };
-    return e;
-}
-
-std::map<std::string, Entry> builtin_entries() {
-    std::map<std::string, Entry> entries;
-    entries.emplace("cg", builtin_entry<&make_cg<float>, &make_cg<double>>());
-    entries.emplace(
-        "bicgstab",
-        builtin_entry<&make_bicgstab<float>, &make_bicgstab<double>>());
-    entries.emplace("idr",
-                    builtin_entry<&make_idr<float>, &make_idr<double>>());
-    entries.emplace(
-        "gmres", builtin_entry<&make_gmres<float>, &make_gmres<double>>());
-    return entries;
-}
-
-std::map<std::string, Entry>& registry() {
-    static std::map<std::string, Entry> entries = builtin_entries();
-    return entries;
-}
-
-}  // namespace
-
 template <typename T>
 SolverPtr<T> make_solver(const Config& config) {
-    auto& entries = registry();
-    const auto it = entries.find(config.method);
-    const SolverFactory<T>* factory = nullptr;
-    if (it != entries.end()) {
-        const auto& f = slot<T>(it->second);
-        if (f) {
-            factory = &f;
-        }
-    }
-    if (factory == nullptr) {
-        std::string known;
-        for (const auto& name : registered_solvers()) {
-            if (!known.empty()) {
-                known += ", ";
-            }
-            known += name;
-        }
+    if (config.method != "idr") {
         throw BadParameter("unknown solver method '" + config.method +
-                           "' (registered: " + known + ")");
+                           "' (the only method is 'idr')");
     }
-    return (*factory)(config);
-}
-
-template <typename T>
-void register_solver(const std::string& name, SolverFactory<T> factory) {
-    slot<T>(registry()[name]) = std::move(factory);
-}
-
-std::vector<std::string> registered_solvers() {
-    std::vector<std::string> names;
-    names.reserve(registry().size());
-    for (const auto& [name, entry] : registry()) {
-        if (entry.f32 || entry.f64) {
-            names.push_back(name);
-        }
-    }
-    return names;
-}
-
-bool solver_registered(const std::string& name) {
-    const auto& entries = registry();
-    const auto it = entries.find(name);
-    return it != entries.end() && (it->second.f32 || it->second.f64);
+    return std::make_unique<Solver<T>>(config.idr_options());
 }
 
 template SolverPtr<float> make_solver<float>(const Config&);
 template SolverPtr<double> make_solver<double>(const Config&);
-template void register_solver<float>(const std::string&,
-                                     SolverFactory<float>);
-template void register_solver<double>(const std::string&,
-                                      SolverFactory<double>);
 
 }  // namespace vbatch::solvers

@@ -33,7 +33,7 @@ struct PhaseSeconds {
     double spmv = 0.0;     ///< operator applications
     double precond = 0.0;  ///< preconditioner applies
     double blas1 = 0.0;    ///< vector updates, dots, norms
-    double orth = 0.0;     ///< (re)orthogonalization sweeps (IDR/GMRES)
+    double orth = 0.0;     ///< shadow-space (re)orthogonalization sweeps
     double total() const noexcept { return spmv + precond + blas1 + orth; }
 };
 

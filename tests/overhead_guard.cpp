@@ -3,8 +3,8 @@
 // the instrumented hot path must cost within a small tolerance of the
 // same loop with the instrumentation objects stripped. The disarmed
 // check is one relaxed atomic load + branch per region, so on a real
-// workload (a fused CG update sweep per iteration) the difference must
-// vanish into measurement noise.
+// workload (IDR's iterate/residual update per iteration) the difference
+// must vanish into measurement noise.
 //
 // Timing on shared CI hardware is noisy, so the guard is best-of-many
 // with retries: it passes as soon as one attempt lands inside the
@@ -63,10 +63,10 @@ int main() {
     // Stripped baseline: the raw kernel sweep.
     const auto plain = [&] {
         for (int s = 0; s < sweeps_per_pass; ++s) {
-            sink = blas::fused_cg_update(1e-9, std::span<const double>(p),
-                                         std::span<const double>(q),
-                                         std::span<double>(x),
-                                         std::span<double>(r));
+            blas::axpy(1e-9, std::span<const double>(p),
+                       std::span<double>(x));
+            sink = blas::fused_axpy_norm2(-1e-9, std::span<const double>(q),
+                                          std::span<double>(r));
         }
     };
     // Instrumented: the same sweep bracketed per iteration exactly like
@@ -75,10 +75,10 @@ int main() {
         for (int s = 0; s < sweeps_per_pass; ++s) {
             obs::TraceRegion trace("overhead_guard::blas1");
             obs::PerfRegion perf("overhead_guard::blas1");
-            sink = blas::fused_cg_update(1e-9, std::span<const double>(p),
-                                         std::span<const double>(q),
-                                         std::span<double>(x),
-                                         std::span<double>(r));
+            blas::axpy(1e-9, std::span<const double>(p),
+                       std::span<double>(x));
+            sink = blas::fused_axpy_norm2(-1e-9, std::span<const double>(q),
+                                          std::span<double>(r));
         }
     };
 

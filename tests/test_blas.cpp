@@ -27,15 +27,13 @@ TEST(Blas1, AxpyDotNrm2) {
     EXPECT_DOUBLE_EQ(blas::asum(std::span<const double>(x)), 6.0);
 }
 
-TEST(Blas1, ScalCopyFillXpby) {
+TEST(Blas1, ScalCopyFill) {
     std::vector<double> x{1, -2, 3};
     blas::scal(-2.0, std::span<double>(x));
     EXPECT_EQ(x[1], 4.0);
     std::vector<double> y(3);
     blas::copy(std::span<const double>(x), std::span<double>(y));
     EXPECT_EQ(y[2], -6.0);
-    blas::xpby(std::span<const double>(x), 0.5, std::span<double>(y));
-    EXPECT_EQ(y[2], -9.0);
     blas::fill(std::span<double>(y), 0.0);
     EXPECT_EQ(y[0], 0.0);
 }

@@ -11,7 +11,7 @@
 #include "core/cholesky.hpp"
 #include "precond/block_jacobi.hpp"
 #include "precond/scalar_jacobi.hpp"
-#include "solvers/cg.hpp"
+#include "solvers/idr.hpp"
 #include "sparse/generators.hpp"
 
 namespace vbatch::core {
@@ -190,7 +190,7 @@ TEST(Cholesky, EagerAndLazySolvesAgree) {
     }
 }
 
-TEST(CholeskyBlockJacobi, AcceleratesCgOnSpdProblem) {
+TEST(CholeskyBlockJacobi, AcceleratesIdrOnSpdProblem) {
     const auto a = sparse::laplacian_2d<double>(24, 24, 4, 3);
     ASSERT_TRUE(a.is_symmetric(1e-12));
     std::vector<double> b(static_cast<std::size_t>(a.num_rows()), 1.0);
@@ -200,8 +200,8 @@ TEST(CholeskyBlockJacobi, AcceleratesCgOnSpdProblem) {
     copts.max_block_size = 16;
     precond::BlockJacobi<double> chol(a, copts);
     std::vector<double> x1(b.size(), 0.0);
-    const auto r_chol = solvers::cg(a, std::span<const double>(b),
-                                    std::span<double>(x1), chol);
+    const auto r_chol = solvers::idr(a, std::span<const double>(b),
+                                     std::span<double>(x1), chol);
     ASSERT_TRUE(r_chol.converged());
 
     // Same preconditioner via LU: identical math, so iteration counts are
@@ -211,16 +211,16 @@ TEST(CholeskyBlockJacobi, AcceleratesCgOnSpdProblem) {
     lopts.max_block_size = 16;
     precond::BlockJacobi<double> lu(a, lopts);
     std::vector<double> x2(b.size(), 0.0);
-    const auto r_lu = solvers::cg(a, std::span<const double>(b),
-                                  std::span<double>(x2), lu);
+    const auto r_lu = solvers::idr(a, std::span<const double>(b),
+                                   std::span<double>(x2), lu);
     ASSERT_TRUE(r_lu.converged());
     EXPECT_NEAR(r_chol.iterations, r_lu.iterations, 3);
 
     // And it beats scalar Jacobi.
     precond::ScalarJacobi<double> jac(a);
     std::vector<double> x3(b.size(), 0.0);
-    const auto r_jac = solvers::cg(a, std::span<const double>(b),
-                                   std::span<double>(x3), jac);
+    const auto r_jac = solvers::idr(a, std::span<const double>(b),
+                                    std::span<double>(x3), jac);
     EXPECT_LT(r_chol.iterations, r_jac.iterations);
 }
 

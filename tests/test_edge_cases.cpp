@@ -1,5 +1,5 @@
-// Edge-case and float-precision coverage across the stack: restart
-// boundaries, breakdown paths, on-disk I/O, and the float instantiations
+// Edge-case and float-precision coverage across the stack: exact
+// guesses, indefinite systems, on-disk I/O, and the float instantiations
 // the rest of the suite exercises only lightly.
 #include <gtest/gtest.h>
 
@@ -14,9 +14,6 @@
 #include "core/trsv.hpp"
 #include "precond/block_jacobi.hpp"
 #include "precond/scalar_jacobi.hpp"
-#include "solvers/bicgstab.hpp"
-#include "solvers/cg.hpp"
-#include "solvers/gmres.hpp"
 #include "solvers/idr.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/matrix_market.hpp"
@@ -58,38 +55,7 @@ TEST(FloatPath, BlockJacobiIdrConverges) {
     EXPECT_TRUE(r.converged());
 }
 
-TEST(Gmres, RestartBoundaryExactlyHitsSolution) {
-    // restart = 1 degenerates to steepest-descent-like steps but must
-    // still make progress and terminate cleanly.
-    const auto a = sparse::laplacian_2d<double>(8, 8, 1);
-    std::vector<double> b(static_cast<std::size_t>(a.num_rows()), 1.0);
-    std::vector<double> x(b.size(), 0.0);
-    precond::ScalarJacobi<double> prec(a);
-    solvers::GmresOptions opts;
-    opts.restart = 1;
-    opts.max_iters = 5000;
-    const auto r = solvers::gmres(a, std::span<const double>(b),
-                                  std::span<double>(x), prec, opts);
-    EXPECT_TRUE(r.converged() || r.iterations == 5000);
-    if (r.converged()) {
-        EXPECT_LT(r.relative_residual(), 1e-6);
-    }
-}
-
-TEST(Gmres, RestartLargerThanIterationBudget) {
-    const auto a = sparse::laplacian_2d<double>(10, 10, 1);
-    std::vector<double> b(static_cast<std::size_t>(a.num_rows()), 1.0);
-    std::vector<double> x(b.size(), 0.0);
-    precond::IdentityPreconditioner<double> prec;
-    solvers::GmresOptions opts;
-    opts.restart = 500;
-    opts.max_iters = 10;
-    const auto r = solvers::gmres(a, std::span<const double>(b),
-                                  std::span<double>(x), prec, opts);
-    EXPECT_LE(r.iterations, 10);
-}
-
-TEST(Bicgstab, ImmediateConvergenceOnExactGuess) {
+TEST(Idr, ImmediateConvergenceOnExactGuess) {
     const auto a = sparse::laplacian_2d<double>(6, 6, 1);
     const auto n = static_cast<std::size_t>(a.num_rows());
     std::vector<double> x_ref(n, 2.0);
@@ -97,25 +63,25 @@ TEST(Bicgstab, ImmediateConvergenceOnExactGuess) {
     a.spmv(std::span<const double>(x_ref), std::span<double>(b));
     auto x = x_ref;  // exact initial guess
     precond::IdentityPreconditioner<double> prec;
-    const auto r = solvers::bicgstab(a, std::span<const double>(b),
-                                     std::span<double>(x), prec);
+    const auto r = solvers::idr(a, std::span<const double>(b),
+                                std::span<double>(x), prec);
     EXPECT_TRUE(r.converged());
     EXPECT_EQ(r.iterations, 0);
 }
 
-TEST(Cg, BreaksDownGracefullyOnIndefiniteSystem) {
-    // CG requires SPD; on an indefinite matrix it must either converge by
-    // luck, exhaust the budget, or flag a breakdown -- never crash or
-    // report a false converged state.
+TEST(Idr, NeverFalselyConvergesOnIndefiniteSystem) {
+    // On an indefinite matrix IDR(s) must either converge, exhaust the
+    // budget, or flag a breakdown -- never crash or report a false
+    // converged state.
     auto a = sparse::Csr<double>::from_triplets(
         2, 2, {{0, 0, 1.0}, {1, 1, -1.0}});
     std::vector<double> b{1.0, 1.0};
     std::vector<double> x(2, 0.0);
     precond::IdentityPreconditioner<double> prec;
-    solvers::SolverOptions opts;
+    solvers::IdrOptions opts;
     opts.max_iters = 50;
-    const auto r = solvers::cg(a, std::span<const double>(b),
-                               std::span<double>(x), prec, opts);
+    const auto r = solvers::idr(a, std::span<const double>(b),
+                                std::span<double>(x), prec, opts);
     if (r.converged()) {
         std::vector<double> t(2);
         a.spmv(std::span<const double>(x), std::span<double>(t));

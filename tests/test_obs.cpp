@@ -401,9 +401,6 @@ TEST(ByteModels, Blas1StreamCounts) {
     EXPECT_DOUBLE_EQ(core::dot_bytes<double>(n), 2.0 * v);
     EXPECT_DOUBLE_EQ(core::nrm2_bytes<double>(n), v);
     EXPECT_DOUBLE_EQ(core::copy_bytes<double>(n), 2.0 * v);
-    EXPECT_DOUBLE_EQ(core::xpby_bytes<double>(n), 3.0 * v);
-    EXPECT_DOUBLE_EQ(core::fused_cg_update_bytes<double>(n), 6.0 * v);
-    EXPECT_DOUBLE_EQ(core::fused_residual_norm2_bytes<double>(n), 3.0 * v);
 }
 
 // ---------------------------------------------------------------------

@@ -16,8 +16,7 @@
 #include "obs/metrics.hpp"
 #include "precond/block_jacobi.hpp"
 #include "precond/config.hpp"
-#include "solvers/bicgstab.hpp"
-#include "solvers/gmres.hpp"
+#include "solvers/idr.hpp"
 #include "sparse/generators.hpp"
 #include "lu_reference.hpp"
 
@@ -107,11 +106,11 @@ TEST(Recovery, BoostedBlockStillPreconditions) {
 
     std::vector<double> b(6, 1.0);
     std::vector<double> x(6, 0.0);
-    solvers::GmresOptions so;
+    solvers::IdrOptions so;
     so.rel_tol = 1e-10;
     so.max_iters = 100;
-    const auto result = solvers::gmres(a, std::span<const double>(b),
-                                       std::span<double>(x), prec, so);
+    const auto result = solvers::idr(a, std::span<const double>(b),
+                                     std::span<double>(x), prec, so);
     EXPECT_EQ(result.status, solvers::SolveStatus::converged);
     EXPECT_EQ(result.preconditioner.boosted, 1);
 
@@ -250,11 +249,11 @@ TEST(Recovery, PreconditionerDegradedSolveStatus) {
 
     std::vector<double> b(6, 1.0);
     std::vector<double> x(6, 0.0);
-    solvers::SolverOptions so;
+    solvers::IdrOptions so;
     so.rel_tol = 1e-30;
     so.max_iters = 1;
-    const auto result = solvers::bicgstab(a, std::span<const double>(b),
-                                          std::span<double>(x), prec, so);
+    const auto result = solvers::idr(a, std::span<const double>(b),
+                                     std::span<double>(x), prec, so);
     EXPECT_FALSE(result.converged());
     EXPECT_EQ(result.status, solvers::SolveStatus::preconditioner_degraded);
 }

@@ -219,45 +219,6 @@ TEST(Warp, AccountingOnlyHelpersTouchNoData) {
     }
 }
 
-TEST(Warp, PerLaneDivAndFnma) {
-    Warp w;
-    Reg<double> a = Warp::broadcast_value(12.0);
-    Reg<double> s{};
-    Reg<double> c = Warp::broadcast_value(100.0);
-    for (int l = 0; l < warp_size; ++l) {
-        s[l] = l + 1.0;
-    }
-    const auto d = w.div(first_lanes(4), a, s, first_lanes(4));
-    EXPECT_EQ(d[0], 12.0);
-    EXPECT_EQ(d[3], 3.0);
-    EXPECT_EQ(d[4], 12.0);  // inactive: passthrough
-    EXPECT_EQ(w.stats().div_instructions, 1);
-    const auto f = w.fnma(first_lanes(2), a, s, c, first_lanes(2));
-    EXPECT_EQ(f[0], 100.0 - 12.0);
-    EXPECT_EQ(f[1], 100.0 - 24.0);
-    EXPECT_EQ(f[2], 100.0);
-    EXPECT_EQ(w.stats().useful_flops, 4 + 4);  // div 4 + fnma 2x2
-}
-
-TEST(Warp, ReduceAbsmaxHalves) {
-    Warp w;
-    Reg<double> v{};
-    v[3] = -5.0;
-    v[9] = 4.0;
-    v[17] = 7.0;
-    v[30] = -7.0;  // tie in the high half: first lane wins
-    const auto r = w.reduce_absmax_halves(full_mask, v);
-    EXPECT_EQ(r[0].first, 5.0);
-    EXPECT_EQ(r[0].second, 3);
-    EXPECT_EQ(r[1].first, 7.0);
-    EXPECT_EQ(r[1].second, 17);
-    // Empty half yields {0, -1}.
-    const auto e = w.reduce_absmax_halves(first_lanes(16), v);
-    EXPECT_EQ(e[1].second, -1);
-    // 4-step xor shuffle serves both halves.
-    EXPECT_EQ(w.stats().shuffle_instructions, 8);
-}
-
 TEST(Warp, SharedMemoryBankConflicts) {
     Warp w;
     // Conflict-free: each lane hits its own bank.
