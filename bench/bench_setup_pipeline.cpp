@@ -69,10 +69,10 @@ BackendTimes run_backend(const vb::sparse::Csr<double>& a,
     vb::precond::BlockJacobi<double> prec(a, opts);
     const double t_refresh = time_best(reps, [&] { prec.refresh(b); });
 
-    // The refreshed preconditioner must equal a fresh one on `b`.
+    // The refreshed preconditioner must equal a fresh one on `b` that
+    // adopts the same symbolic (refresh keeps the layout).
     vb::precond::BlockJacobiOptions fresh_opts = opts;
-    fresh_opts.layout =
-        std::make_shared<const vb::core::BatchLayout>(prec.layout());
+    fresh_opts.symbolic = prec.symbolic();
     const vb::precond::BlockJacobi<double> fresh(b, fresh_opts);
     const auto nvals = static_cast<std::size_t>(prec.layout().total_values());
     const bool same =

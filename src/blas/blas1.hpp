@@ -141,15 +141,6 @@ void copy(std::span<const T> x, std::span<T> y) {
 }
 
 template <typename T>
-void fill(std::span<T> x, T value) {
-    detail::for_chunks(x.size(), [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-            x[i] = value;
-        }
-    });
-}
-
-template <typename T>
 T dot(std::span<const T> x, std::span<const T> y) {
     VBATCH_ENSURE_DIMS(x.size() == y.size());
     return detail::reduce_chunks<T>(
@@ -168,35 +159,6 @@ T nrm2(std::span<const T> x) {
     // vectors here; plain sum of squares with sqrt is what MAGMA-sparse
     // uses as well.
     return std::sqrt(dot(x, x));
-}
-
-template <typename T>
-T asum(std::span<const T> x) {
-    return detail::reduce_chunks<T>(
-        x.size(), [&](std::size_t lo, std::size_t hi) {
-            T acc{};
-            for (std::size_t i = lo; i < hi; ++i) {
-                acc += std::abs(x[i]);
-            }
-            return acc;
-        });
-}
-
-/// Index of the entry with largest magnitude (first on ties); -1 if empty.
-/// Stays serial: the first-on-ties contract is order-dependent and the
-/// call sites (pivot searches over <= 32 entries) are tiny.
-template <typename T>
-index_type iamax(std::span<const T> x) {
-    index_type best = -1;
-    T best_val{};
-    for (std::size_t i = 0; i < x.size(); ++i) {
-        const T a = std::abs(x[i]);
-        if (best < 0 || a > best_val) {
-            best = static_cast<index_type>(i);
-            best_val = a;
-        }
-    }
-    return best;
 }
 
 }  // namespace vbatch::blas

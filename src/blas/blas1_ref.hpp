@@ -57,13 +57,4 @@ T nrm2(std::span<const T> x) {
     return std::sqrt(dot(x, x));
 }
 
-template <typename T>
-T asum(std::span<const T> x) {
-    T acc{};
-    for (const auto& v : x) {
-        acc += std::abs(v);
-    }
-    return acc;
-}
-
 }  // namespace vbatch::blas::ref

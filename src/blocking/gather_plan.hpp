@@ -43,15 +43,21 @@ public:
                core::BatchLayoutPtr layout);
 
     /// Same, with the pattern fingerprint already in hand (saves the
-    /// O(nnz) rehash when the matrix memoized it).
+    /// O(nnz) rehash when the matrix memoized it). A non-empty `rows`
+    /// (a permutation of [0, n)) makes block b own the rows
+    /// rows[row_offset(b) .. row_offset(b) + size(b)) instead of the
+    /// contiguous range; block-local index i is then the i-th of them,
+    /// for rows and columns alike.
     GatherPlan(std::span<const size_type> row_ptrs,
                std::span<const index_type> col_idxs,
-               core::BatchLayoutPtr layout, std::uint64_t pattern_hash);
+               core::BatchLayoutPtr layout, std::uint64_t pattern_hash,
+               std::span<const index_type> rows = {});
 
     template <typename T>
-    GatherPlan(const sparse::Csr<T>& a, core::BatchLayoutPtr layout)
+    GatherPlan(const sparse::Csr<T>& a, core::BatchLayoutPtr layout,
+               std::span<const index_type> rows = {})
         : GatherPlan(a.row_ptrs(), a.col_idxs(), std::move(layout),
-                     a.pattern_hash()) {}
+                     a.pattern_hash(), rows) {}
 
     bool empty() const noexcept { return layout_ == nullptr; }
     const core::BatchLayout& layout() const noexcept { return *layout_; }
@@ -130,6 +136,11 @@ public:
         std::span<const size_type> indices, index_type lanes) const;
 
 private:
+    /// The count and fill passes over a row list (`rows` non-empty).
+    void build_through_rows(std::span<const size_type> row_ptrs,
+                            std::span<const index_type> col_idxs,
+                            std::span<const index_type> rows);
+
     core::BatchLayoutPtr layout_;
     /// Block b's entries occupy [entry_ptrs_[b], entry_ptrs_[b+1]).
     std::vector<size_type> entry_ptrs_;

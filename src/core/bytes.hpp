@@ -84,22 +84,4 @@ double axpy_bytes(size_type n) {
     return 3.0 * static_cast<double>(n) * static_cast<double>(sizeof(T));
 }
 
-/// dot(x, y): read both vectors.
-template <typename T>
-double dot_bytes(size_type n) {
-    return 2.0 * static_cast<double>(n) * static_cast<double>(sizeof(T));
-}
-
-/// nrm2(x) and other single-vector reductions: read x.
-template <typename T>
-double nrm2_bytes(size_type n) {
-    return static_cast<double>(n) * static_cast<double>(sizeof(T));
-}
-
-/// y := x (copy) or y *= alpha (scal): one read + one write stream.
-template <typename T>
-double copy_bytes(size_type n) {
-    return 2.0 * static_cast<double>(n) * static_cast<double>(sizeof(T));
-}
-
 }  // namespace vbatch::core

@@ -14,9 +14,9 @@
 //     "kernel_stats": { "<family>": { "launches": n, "problems": n,
 //                        "modeled_seconds": s, "<counter>": n, ... } },
 //     "traffic": { "<family>": { "flops": f, "bytes": b, "seconds": s,
-//                   "calls": n, "problems": n, "roof_gbs": r, "gflops": g,
+//                   "calls": n, "problems": n, "roof_gbs": r|null, "gflops": g,
 //                   "bandwidth_gbs": g, "arithmetic_intensity": ai,
-//                   "fraction_of_roof": fr } },
+//                   "fraction_of_roof": fr|null } },  // null: no roof measured
 //     "perf":    { "<region>": { "calls": n, "hardware_calls": n,
 //                   "seconds": s, "cycles": c, "instructions": i,
 //                   "ipc": x, "l1d_misses": n, "llc_misses": n,

@@ -209,8 +209,14 @@ void write_traffic_entry(JsonWriter& json, const TrafficStats& t,
     json.value(static_cast<std::uint64_t>(t.calls));
     json.key("problems");
     json.value(static_cast<std::uint64_t>(t.problems));
+    // An unmeasured roof is unknown, not 0: roof and fraction go null.
+    const double roof = t.roof_gbs > 0.0 ? t.roof_gbs : fallback_roof_gbs;
     json.key("roof_gbs");
-    json.value(t.roof_gbs > 0.0 ? t.roof_gbs : fallback_roof_gbs);
+    if (roof > 0.0) {
+        json.value(roof);
+    } else {
+        json.null();
+    }
     json.key("gflops");
     json.value(t.gflops());
     json.key("bandwidth_gbs");
@@ -218,7 +224,11 @@ void write_traffic_entry(JsonWriter& json, const TrafficStats& t,
     json.key("arithmetic_intensity");
     json.value(t.arithmetic_intensity());
     json.key("fraction_of_roof");
-    json.value(t.fraction_of_roof(fallback_roof_gbs));
+    if (roof > 0.0) {
+        json.value(t.fraction_of_roof(fallback_roof_gbs));
+    } else {
+        json.null();
+    }
     json.end_object();
 }
 

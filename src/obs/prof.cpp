@@ -34,6 +34,12 @@ double member_num(const JsonValue& obj, const char* key) {
     return num(obj.find(key));
 }
 
+/// True when a traffic entry carries a measured roof (null = unknown).
+bool roof_known(const JsonValue& entry) {
+    const JsonValue* roof = entry.find("roof_gbs");
+    return roof != nullptr && roof->is_number();
+}
+
 std::string member_str(const JsonValue& obj, const char* key) {
     const JsonValue* v = obj.find(key);
     return v != nullptr && v->is_string() ? v->string : std::string();
@@ -80,13 +86,18 @@ void render_roofline(std::string& out, const JsonValue& doc) {
         if (!entry.is_object()) {
             continue;
         }
-        appendf(out, "  %-28s %8.0f %10.2f %10.2f %8.3f %6.1f%% %9.1f\n",
+        appendf(out, "  %-28s %8.0f %10.2f %10.2f %8.3f",
                 family.c_str(), member_num(entry, "calls"),
                 member_num(entry, "gflops"),
                 member_num(entry, "bandwidth_gbs"),
-                member_num(entry, "arithmetic_intensity"),
-                member_num(entry, "fraction_of_roof") * 100.0,
-                member_num(entry, "roof_gbs"));
+                member_num(entry, "arithmetic_intensity"));
+        if (roof_known(entry)) {
+            appendf(out, " %6.1f%% %9.1f\n",
+                    member_num(entry, "fraction_of_roof") * 100.0,
+                    member_num(entry, "roof_gbs"));
+        } else {
+            appendf(out, " %7s %9s\n", "n/a", "n/a");
+        }
     }
     out += "\n";
 }
@@ -175,6 +186,34 @@ void render_service(std::string& out, const JsonValue& doc) {
             counter("service.queue.completed"),
             counter("service.queue.rejected"));
     out += "\n";
+}
+
+/// Diagonal-block layout rule (blocking/aggregation.hpp): the captured
+/// share of off-diagonal |a| of the last chosen layout, and how many
+/// layouts were aggregated. Rendered only when a layout was chosen.
+void render_blocking(std::string& out, const JsonValue& doc) {
+    const JsonValue* gauges = doc.find("gauges");
+    const JsonValue* chosen =
+        gauges != nullptr ? gauges->find("blocking.captured_coupling")
+                          : nullptr;
+    if (chosen == nullptr || !chosen->is_number()) {
+        return;
+    }
+    const double sv = member_num(*gauges, "blocking.supervariable_coupling");
+    const JsonValue* counters = doc.find("counters");
+    const double aggregated =
+        counters != nullptr
+            ? member_num(*counters, "blocking.aggregated_layouts")
+            : 0.0;
+    if (chosen->number != sv) {
+        appendf(out, "blocking: aggregated, captured |a| %.2f -> %.2f",
+                sv, chosen->number);
+    } else {
+        appendf(out, "blocking: supervariable, captured |a| %.2f",
+                chosen->number);
+    }
+    appendf(out, " (last layout; %.0f aggregated in total)\n\n",
+            aggregated);
 }
 
 void render_perf(std::string& out, const JsonValue& doc,
@@ -267,6 +306,7 @@ std::string render_report(const JsonValue& doc, const Options& opts) {
             member_str(doc, "name").c_str());
     appendf(out, "wall: %.3f s\n\n", member_num(doc, "wall_seconds"));
     render_phases(out, doc);
+    render_blocking(out, doc);
     render_roofline(out, doc);
     render_pool(out, doc);
     render_service(out, doc);
@@ -404,7 +444,10 @@ std::string render_diff(const JsonValue& base, const JsonValue& current) {
             const JsonValue* entry_a =
                 traffic_a != nullptr ? traffic_a->find(family) : nullptr;
             const double gbs_b = member_num(entry_b, "bandwidth_gbs");
-            if (entry_a == nullptr) {
+            if (entry_a == nullptr && !roof_known(entry_b)) {
+                appendf(out, "  %-28s (new) %10.2f GB/s (roof n/a)\n",
+                        family.c_str(), gbs_b);
+            } else if (entry_a == nullptr) {
                 appendf(out, "  %-28s (new) %10.2f GB/s (%.1f%% of roof)\n",
                         family.c_str(), gbs_b,
                         member_num(entry_b, "fraction_of_roof") * 100.0);

@@ -68,6 +68,7 @@ std::size_t BlockJacobiSymbolic::byte_size() const noexcept {
         bytes += static_cast<std::size_t>(layout->count()) *
                  (sizeof(index_type) + sizeof(size_type));
     }
+    bytes += rows.capacity() * sizeof(index_type);
     bytes += plan.byte_size();
     for (const auto& g : groups) {
         bytes += g.indices.capacity() * sizeof(size_type) +
@@ -81,23 +82,17 @@ std::size_t BlockJacobiSymbolic::byte_size() const noexcept {
     return bytes;
 }
 
+namespace {
+
+/// The symbolic layer past the layout choice: gather plan, size-class
+/// groups and task lists on `sym`'s layout and row list.
 template <typename T>
-BlockJacobiSymbolicPtr build_block_jacobi_symbolic(
-    const sparse::Csr<T>& a, const BlockJacobiOptions& options) {
-    auto sym = std::make_shared<BlockJacobiSymbolic>();
+BlockJacobiSymbolicPtr finish_symbolic(
+    const sparse::Csr<T>& a, const BlockJacobiOptions& options,
+    std::shared_ptr<BlockJacobiSymbolic> sym) {
     sym->max_block_size = options.max_block_size;
-    {
-        ScopedTimer phase(sym->blocking_seconds);
-        if (options.layout) {
-            sym->layout = options.layout;
-        } else {
-            blocking::BlockingOptions bopts;
-            bopts.max_block_size = options.max_block_size;
-            sym->layout = blocking::supervariable_layout(a, bopts);
-        }
-    }
     ScopedTimer phase(sym->plan_seconds);
-    sym->plan = blocking::GatherPlan(a, sym->layout);
+    sym->plan = blocking::GatherPlan(a, sym->layout, sym->rows);
     if (lane_backend(options.backend)) {
         // Clamp once so the kept groups, metrics and name() agree on the
         // ISA actually executed.
@@ -147,6 +142,39 @@ BlockJacobiSymbolicPtr build_block_jacobi_symbolic(
     return sym;
 }
 
+}  // namespace
+
+template <typename T>
+BlockJacobiSymbolicPtr build_block_jacobi_symbolic(
+    const sparse::Csr<T>& a, const BlockJacobiOptions& options) {
+    auto sym = std::make_shared<BlockJacobiSymbolic>();
+    {
+        ScopedTimer phase(sym->blocking_seconds);
+        if (options.layout) {
+            sym->layout = options.layout;
+        } else {
+            blocking::BlockingOptions bopts;
+            bopts.max_block_size = options.max_block_size;
+            auto blocks = blocking::choose_diagonal_blocks(a, bopts);
+            blocking::record_layout_choice(blocks);
+            sym->layout = std::move(blocks.layout);
+            sym->rows = std::move(blocks.rows);
+        }
+    }
+    return finish_symbolic(a, options, std::move(sym));
+}
+
+template <typename T>
+BlockJacobiSymbolicPtr build_block_jacobi_symbolic(
+    const sparse::Csr<T>& a, const BlockJacobiOptions& options,
+    blocking::DiagonalBlocks blocks) {
+    blocking::record_layout_choice(blocks);
+    auto sym = std::make_shared<BlockJacobiSymbolic>();
+    sym->layout = std::move(blocks.layout);
+    sym->rows = std::move(blocks.rows);
+    return finish_symbolic(a, options, std::move(sym));
+}
+
 template <typename T>
 void BlockJacobi<T>::validate_symbolic(const sparse::Csr<T>& a) const {
     VBATCH_ENSURE(sym_->plan.matches(a),
@@ -155,6 +183,12 @@ void BlockJacobi<T>::validate_symbolic(const sparse::Csr<T>& a) const {
     VBATCH_ENSURE(sym_->max_block_size == options_.max_block_size,
                   "block-Jacobi setup: shared symbolic was built under a "
                   "different block bound");
+    VBATCH_ENSURE(sym_->layout->total_rows() == a.num_rows() &&
+                      (sym_->rows.empty() ||
+                       sym_->rows.size() ==
+                           static_cast<std::size_t>(a.num_rows())),
+                  "block-Jacobi setup: shared symbolic's row list does not "
+                  "cover the matrix");
     if (lane_backend(options_.backend)) {
         const auto isa = lane_isa(options_);
         VBATCH_ENSURE(sym_->lane_path &&
@@ -637,8 +671,12 @@ void BlockJacobi<T>::apply_fallback_block(size_type b, std::span<const T> r,
                                           std::span<T> z) const {
     const auto off = static_cast<std::size_t>(layout_->row_offset(b));
     const auto m = static_cast<std::size_t>(layout_->size(b));
+    const auto& rows = sym_->rows;
     for (std::size_t i = 0; i < m; ++i) {
-        z[off + i] = r[off + i] * fallback_inv_diag_[off + i];
+        const auto row = rows.empty()
+                             ? off + i
+                             : static_cast<std::size_t>(rows[off + i]);
+        z[row] = r[row] * fallback_inv_diag_[off + i];
     }
 }
 
@@ -652,6 +690,9 @@ void BlockJacobi<T>::apply_lanes(std::span<const T> r,
     // div/mod, no per-apply InterleavedVectors, no zero-fill of padding
     // lanes -- the matrix padding is identity, so stale padding values
     // pass through the solve and stay finite without ever being read).
+    // A row-list layout indexes the vectors through the list; the
+    // contiguous one keeps the direct loops.
+    const index_type* perm = sym_->rows.empty() ? nullptr : sym_->rows.data();
     const auto total = static_cast<size_type>(sym_->tasks.size());
     const auto body = [&](size_type t) {
         const auto& task = sym_->tasks[static_cast<std::size_t>(t)];
@@ -667,20 +708,34 @@ void BlockJacobi<T>::apply_lanes(std::span<const T> r,
             std::min(lane_lo + lanes, sg.group.count());
         T* chunk_vals = sg.rhs.values() + task.chunk * m * lanes;
         for (size_type l = lane_lo; l < lane_hi; ++l) {
-            const T* src =
-                r.data() + row_offsets[static_cast<std::size_t>(l)];
+            const auto off = row_offsets[static_cast<std::size_t>(l)];
             T* dst = chunk_vals + (l - lane_lo);
-            for (size_type i = 0; i < m; ++i) {
-                dst[i * lanes] = src[i];
+            if (perm == nullptr) {
+                const T* src = r.data() + off;
+                for (size_type i = 0; i < m; ++i) {
+                    dst[i * lanes] = src[i];
+                }
+            } else {
+                const index_type* rows = perm + off;
+                for (size_type i = 0; i < m; ++i) {
+                    dst[i * lanes] = r[static_cast<std::size_t>(rows[i])];
+                }
             }
         }
         core::getrs_interleaved_chunk(sg.group, sg.rhs, task.chunk);
         for (size_type l = lane_lo; l < lane_hi; ++l) {
-            T* dst =
-                z.data() + row_offsets[static_cast<std::size_t>(l)];
+            const auto off = row_offsets[static_cast<std::size_t>(l)];
             const T* src = chunk_vals + (l - lane_lo);
-            for (size_type i = 0; i < m; ++i) {
-                dst[i] = src[i * lanes];
+            if (perm == nullptr) {
+                T* dst = z.data() + off;
+                for (size_type i = 0; i < m; ++i) {
+                    dst[i] = src[i * lanes];
+                }
+            } else {
+                const index_type* rows = perm + off;
+                for (size_type i = 0; i < m; ++i) {
+                    z[static_cast<std::size_t>(rows[i])] = src[i * lanes];
+                }
             }
         }
     };
@@ -740,9 +795,15 @@ void BlockJacobi<T>::apply(std::span<const T> r, std::span<T> z) const {
         }
         const auto off = static_cast<std::size_t>(layout_->row_offset(b));
         const auto m = static_cast<std::size_t>(layout_->size(b));
-        const std::span<T> zb = z.subspan(off, m);
+        // A row-list block solves in a local copy and scatters it back.
+        const auto& rows = sym_->rows;
+        std::array<T, max_block_size> local;
+        const std::span<T> zb = rows.empty()
+                                    ? z.subspan(off, m)
+                                    : std::span<T>(local.data(), m);
         for (std::size_t i = 0; i < m; ++i) {
-            zb[i] = r[off + i];
+            zb[i] = r[rows.empty() ? off + i
+                                   : static_cast<std::size_t>(rows[off + i])];
         }
         switch (options_.backend) {
         case BlockJacobiBackend::lu:
@@ -776,6 +837,11 @@ void BlockJacobi<T>::apply(std::span<const T> r, std::span<T> z) const {
             break;
         }
         }
+        if (!rows.empty()) {
+            for (std::size_t i = 0; i < m; ++i) {
+                z[static_cast<std::size_t>(rows[off + i])] = zb[i];
+            }
+        }
     };
     if (options_.parallel) {
         ThreadPool::global().parallel_for(0, layout_->count(), body,
@@ -790,12 +856,17 @@ void BlockJacobi<T>::apply(std::span<const T> r, std::span<T> z) const {
 template <typename T>
 typename BlockJacobi<T>::Diagnostics BlockJacobi<T>::diagnostics(
     const sparse::Csr<T>& a) const {
+    VBATCH_ENSURE(sym_->plan.matches(a),
+                  "block-Jacobi diagnostics: matrix sparsity pattern "
+                  "differs from the analyzed one");
     Diagnostics d;
     d.num_blocks = layout_->count();
     if (d.num_blocks == 0) {
         return d;
     }
-    const auto blocks = blocking::extract_diagonal_blocks(a, layout_);
+    alignas(64) std::array<T, static_cast<std::size_t>(max_block_size) *
+                                  max_block_size>
+        block_buf;
     d.min_block_size = layout_->max_size();
     double size_sum = 0.0;
     double log_sum = 0.0;
@@ -806,8 +877,10 @@ typename BlockJacobi<T>::Diagnostics BlockJacobi<T>::diagnostics(
         d.min_block_size = std::min(d.min_block_size, m);
         d.max_block_size = std::max(d.max_block_size, m);
         size_sum += m;
-        const double cond = static_cast<double>(
-            lapack::condition_number_1<T>(blocks.view(b)));
+        const MatrixView<T> block(block_buf.data(), m, m);
+        sym_->plan.gather_block(a.values(), b, block);
+        const double cond =
+            static_cast<double>(lapack::condition_number_1<T>(block));
         d.min_condition = std::min(d.min_condition, cond);
         d.max_condition = std::max(d.max_condition, cond);
         log_sum += std::log(std::max(cond, 1.0));
@@ -835,5 +908,11 @@ template BlockJacobiSymbolicPtr build_block_jacobi_symbolic<float>(
     const sparse::Csr<float>&, const BlockJacobiOptions&);
 template BlockJacobiSymbolicPtr build_block_jacobi_symbolic<double>(
     const sparse::Csr<double>&, const BlockJacobiOptions&);
+template BlockJacobiSymbolicPtr build_block_jacobi_symbolic<float>(
+    const sparse::Csr<float>&, const BlockJacobiOptions&,
+    blocking::DiagonalBlocks);
+template BlockJacobiSymbolicPtr build_block_jacobi_symbolic<double>(
+    const sparse::Csr<double>&, const BlockJacobiOptions&,
+    blocking::DiagonalBlocks);
 
 }  // namespace vbatch::precond

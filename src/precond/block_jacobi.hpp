@@ -1,6 +1,8 @@
 // Block-Jacobi preconditioner -- the complete ecosystem of the paper
-// (Section III.C): supervariable blocking -> diagonal block extraction ->
-// batched factorization (setup), batched triangular solves (application).
+// (Section III.C): supervariable blocking (strength-aware aggregation
+// where the supervariable blocks miss the coupling, see
+// blocking/aggregation.hpp) -> diagonal block extraction -> batched
+// factorization (setup), batched triangular solves (application).
 //
 // The interchangeable factorization backends reproduce the paper's
 // comparison:
@@ -30,6 +32,7 @@
 #include <vector>
 
 #include "base/timer.hpp"
+#include "blocking/aggregation.hpp"
 #include "blocking/extraction.hpp"
 #include "blocking/gather_plan.hpp"
 #include "blocking/supervariable.hpp"
@@ -50,16 +53,24 @@ enum class BlockJacobiBackend { lu, lu_simd, gauss_huard, gauss_huard_t,
 
 std::string backend_name(BlockJacobiBackend backend);
 
-/// The complete symbolic (pattern-only) state of a block-Jacobi setup:
-/// block layout, extraction gather plan, interleaved group shapes +
-/// lane gather maps, and the fused task lists. Everything in here
-/// depends only on the sparsity pattern, the block bound and (for the
-/// lane path) the vector width -- never on the values -- so one
-/// immutable instance can be shared by any number of preconditioners
-/// over same-pattern matrices (the service layer's plan cache holds
-/// exactly these, refcounted through the shared_ptr).
+/// The complete symbolic state of a block-Jacobi setup: block layout
+/// (with its row list when the blocks are strength-aggregated),
+/// extraction gather plan, interleaved group shapes + lane gather maps,
+/// and the fused task lists. Everything in here depends only on the
+/// sparsity pattern, the block bound, the layout the rule chose
+/// (blocking::choose_diagonal_blocks: the supervariable layout unless
+/// the values call for aggregation) and, for the lane path, the vector
+/// width -- so one immutable instance can be shared by any number of
+/// preconditioners over same-pattern matrices, and refresh() keeps it
+/// whatever the new values (the service layer's plan cache holds exactly
+/// these, refcounted through the shared_ptr).
 struct BlockJacobiSymbolic {
     core::BatchLayoutPtr layout;
+    /// Empty: block b owns the contiguous rows [row_offset(b),
+    /// row_offset(b) + size(b)). Otherwise block b owns
+    /// rows[row_offset(b) .. row_offset(b) + size(b)) (a permutation of
+    /// the rows, see blocking::DiagonalBlocks).
+    std::vector<index_type> rows;
     /// Cached CSR -> block extraction plan (carries the 64-bit pattern
     /// fingerprint adoption is validated against).
     blocking::GatherPlan plan;
@@ -84,7 +95,8 @@ struct BlockJacobiSymbolic {
         std::vector<size_type> indices;
         /// CSR-value -> lane-slot gather map.
         core::InterleavedGatherMap gather;
-        /// row_offsets[l] = flat row offset of lane l's block.
+        /// row_offsets[l] = row offset of lane l's block (into the
+        /// vectors, or into `rows` when that is non-empty).
         std::vector<size_type> row_offsets;
         /// Lane chunks of the group (= ceil(indices.size() / lanes)).
         size_type chunks = 0;
@@ -120,7 +132,7 @@ using BlockJacobiSymbolicPtr = std::shared_ptr<const BlockJacobiSymbolic>;
 
 struct BlockJacobiOptions {
     BlockJacobiBackend backend = BlockJacobiBackend::lu;
-    /// Upper bound for the supervariable agglomeration (Table I sweeps
+    /// Upper bound for the diagonal block size (Table I sweeps
     /// {8, 12, 16, 24, 32}).
     index_type max_block_size = 32;
     /// Instruction set for the lu_simd backend (clamped by availability;
@@ -129,8 +141,8 @@ struct BlockJacobiOptions {
     core::SimdIsa simd = core::detect_simd_isa();
     /// Parallelize setup/application over the blocks.
     bool parallel = true;
-    /// Reuse a precomputed block structure instead of running
-    /// supervariable blocking (empty = detect).
+    /// Reuse a precomputed contiguous block structure instead of
+    /// running the layout rule (empty = blocking::choose_diagonal_blocks).
     core::BatchLayoutPtr layout;
     /// Per-block breakdown handling. The default (Mode::full) makes the
     /// setup total: it never throws, and degraded blocks are recorded in
@@ -158,12 +170,21 @@ template <typename T>
 BlockJacobiSymbolicPtr build_block_jacobi_symbolic(
     const sparse::Csr<T>& a, const BlockJacobiOptions& options);
 
+/// Same, on a layout the rule already chose for `a` (the service plan
+/// cache chooses it to key the plan, and builds on a miss with it).
+template <typename T>
+BlockJacobiSymbolicPtr build_block_jacobi_symbolic(
+    const sparse::Csr<T>& a, const BlockJacobiOptions& options,
+    blocking::DiagonalBlocks blocks);
+
 template <typename T>
 class BlockJacobi final : public Preconditioner<T> {
 public:
     /// Setup in two layers. The *symbolic* phase (once per sparsity
-    /// pattern) runs supervariable blocking, size-class bucketing and
-    /// builds the cached extraction gather plan + fused task list; the
+    /// pattern) runs the layout rule (supervariable blocking, or the
+    /// strength-aware aggregation when the values call for it),
+    /// size-class bucketing and builds the cached extraction gather plan
+    /// + fused task list; the
     /// *numeric* phase gathers the values straight into the persistent
     /// factor storage and factorizes them in one fused parallel pass,
     /// then recovers per-block breakdowns. Under the default
@@ -174,10 +195,12 @@ public:
 
     /// Numeric re-setup: re-runs only the numeric phase on `a`'s values
     /// through the cached symbolic plan (the time-stepping / Newton case
-    /// after sparse::Csr::set_values). Factors, pivots, statuses and
-    /// recovery outcomes are bitwise identical to a fresh setup on `a`;
-    /// throws vbatch::BadParameter when `a`'s sparsity pattern differs
-    /// from the one analyzed at construction.
+    /// after sparse::Csr::set_values). The symbolic -- layout included --
+    /// is kept, whatever layout the new values would choose. Factors,
+    /// pivots, statuses and recovery outcomes are bitwise identical to a
+    /// fresh setup on `a` that adopts the same symbolic; throws
+    /// vbatch::BadParameter when `a`'s sparsity pattern differs from the
+    /// one analyzed at construction.
     void refresh(const sparse::Csr<T>& a) override;
 
     /// z := M^{-1} r. Performs no heap allocation: the lane path runs

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "blocking/aggregation.hpp"
 #include "core/batch_layout.hpp"
 #include "core/simd_dispatch.hpp"
 #include "precond/preconditioner.hpp"
@@ -91,5 +92,12 @@ bool symbolic_backend(const std::string& backend);
 template <typename T>
 std::shared_ptr<const BlockJacobiSymbolic> make_symbolic(
     const sparse::Csr<T>& a, const Config& config);
+
+/// Same, on a layout the rule already chose for `a` (ignores
+/// config.layout).
+template <typename T>
+std::shared_ptr<const BlockJacobiSymbolic> make_symbolic(
+    const sparse::Csr<T>& a, const Config& config,
+    blocking::DiagonalBlocks blocks);
 
 }  // namespace vbatch::precond

@@ -185,6 +185,19 @@ std::shared_ptr<const BlockJacobiSymbolic> make_symbolic(
         a, block_jacobi_options(config, it->second));
 }
 
+template <typename T>
+std::shared_ptr<const BlockJacobiSymbolic> make_symbolic(
+    const sparse::Csr<T>& a, const Config& config,
+    blocking::DiagonalBlocks blocks) {
+    const auto& kinds = block_jacobi_kinds();
+    const auto it = kinds.find(config.backend);
+    if (it == kinds.end()) {
+        return nullptr;
+    }
+    return build_block_jacobi_symbolic(
+        a, block_jacobi_options(config, it->second), std::move(blocks));
+}
+
 template PreconditionerPtr<float> make_preconditioner<float>(
     const sparse::Csr<float>&, const Config&);
 template PreconditionerPtr<double> make_preconditioner<double>(
@@ -197,5 +210,9 @@ template std::shared_ptr<const BlockJacobiSymbolic> make_symbolic<float>(
     const sparse::Csr<float>&, const Config&);
 template std::shared_ptr<const BlockJacobiSymbolic> make_symbolic<double>(
     const sparse::Csr<double>&, const Config&);
+template std::shared_ptr<const BlockJacobiSymbolic> make_symbolic<float>(
+    const sparse::Csr<float>&, const Config&, blocking::DiagonalBlocks);
+template std::shared_ptr<const BlockJacobiSymbolic> make_symbolic<double>(
+    const sparse::Csr<double>&, const Config&, blocking::DiagonalBlocks);
 
 }  // namespace vbatch::precond

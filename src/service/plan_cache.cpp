@@ -42,8 +42,23 @@ PlanCache::Shard& PlanCache::shard_for(const PlanKey& key) {
     const std::uint64_t h =
         key.pattern_hash ^
         (static_cast<std::uint64_t>(key.max_block_size) * 0x9e3779b97f4a7c15ULL) ^
-        (static_cast<std::uint64_t>(key.lanes) << 32);
+        (static_cast<std::uint64_t>(key.lanes) << 32) ^ key.layout_hash;
     return *shards_[static_cast<std::size_t>(h % shards_.size())];
+}
+
+std::uint64_t PlanCache::fixed_layout_hash(const core::BatchLayout& layout) {
+    std::uint64_t h = 0x84222325cbf29ce4ULL;
+    for (const auto m : layout.sizes()) {
+        h = (h ^ static_cast<std::uint64_t>(m)) * 0x100000001b3ULL;
+    }
+    return h == 0 ? 1 : h;
+}
+
+core::BatchLayoutPtr PlanCache::cached_layout(const PlanKey& key) {
+    Shard& shard = shard_for(key);
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    const auto it = shard.entries.find(key);
+    return it != shard.entries.end() ? it->second.symbolic->layout : nullptr;
 }
 
 PlanCache::SymbolicPtr PlanCache::acquire_keyed(

@@ -1,5 +1,5 @@
 // Cross-process determinism probe: runs IDR(4) over the full hot path (nnz-balanced spmv, fused BLAS-1, block-Jacobi apply with both
-// LU backends) and writes an FNV-1a hash of all solution bit patterns to
+// LU backends, a strength-aggregated layout) and writes an FNV-1a hash of all solution bit patterns to
 // argv[1]. CTest launches this binary under VBATCH_THREADS=1, 2, 3, 8 and
 // 16 and compares the output files byte for byte -- the pool size is fixed at
 // startup, so thread-count independence can only be proven across
@@ -129,6 +129,57 @@ int main(int argc, char** argv) {
             prec.apply(std::span<const double>(b), std::span<double>(z));
             hash.add_vector(z);
         }
+    }
+
+    // Strength-aware layout: the rule's choice (its captured shares are
+    // partial sums on the pool), the row-list apply and an IDR(4) solve
+    // through it must not depend on the thread count, and refresh keeps
+    // the layout.
+    {
+        const auto an = sparse::anisotropic_2d<double>(60, 60, 100.0, 2, 31);
+        const auto blocks = blocking::choose_diagonal_blocks(
+            an, blocking::BlockingOptions{.max_block_size = 32});
+        if (!blocks.aggregated()) {
+            std::fprintf(stderr, "layout section: expected aggregation\n");
+            return 1;
+        }
+        const auto& sizes = blocks.layout->sizes();
+        hash.add(sizes.data(), sizes.size() * sizeof(sizes[0]));
+        hash.add(blocks.rows.data(),
+                 blocks.rows.size() * sizeof(blocks.rows[0]));
+        hash.add(&blocks.supervariable_coupling, sizeof(double));
+        hash.add(&blocks.captured_coupling, sizeof(double));
+
+        precond::BlockJacobiOptions popts;
+        popts.backend = precond::BlockJacobiBackend::lu_simd;
+        precond::BlockJacobi<double> prec(an, popts);
+        const auto nn = static_cast<std::size_t>(an.num_rows());
+        std::vector<double> rhs(nn);
+        for (auto& v : rhs) {
+            v = uniform(eng, -1.0, 1.0);
+        }
+        std::vector<double> x(nn, 0.0);
+        const auto res = solvers::idr(an, std::span<const double>(rhs),
+                                      std::span<double>(x), prec,
+                                      solvers::IdrOptions{});
+        hash.add_vector(x);
+        hash.add(&res.iterations, sizeof(res.iterations));
+
+        auto updated = an;
+        std::vector<double> vals(an.values().begin(), an.values().end());
+        for (auto& v : vals) {
+            v *= 1.0 + 1e-3 * uniform(eng, -1.0, 1.0);
+        }
+        updated.set_values(std::span<const double>(vals));
+        prec.refresh(updated);
+        if (prec.symbolic()->rows != blocks.rows ||
+            prec.layout().sizes() != sizes) {
+            std::fprintf(stderr, "layout section: refresh moved the layout\n");
+            return 1;
+        }
+        std::vector<double> z(nn, 0.0);
+        prec.apply(std::span<const double>(rhs), std::span<double>(z));
+        hash.add_vector(z);
     }
 
     std::FILE* out = std::fopen(argv[1], "w");

@@ -2,7 +2,9 @@
 //
 // Both keys run the interleaved lane pipeline. This helper is what they
 // are held to: the core scalar kernels run block by block on
-// extract_diagonal_blocks -- getrf_implicit / getrs_single -- followed by
+// extract_diagonal_blocks (or, for a row-list layout, on blocks read
+// entry by entry with Csr::at) -- getrf_implicit / getrs_single --
+// followed by
 // the recovery chain written out once more (diagonal boosting,
 // scalar-Jacobi fallback, identity). Factors, pivots, statuses and the
 // application must match the preconditioner bit for bit.
@@ -31,39 +33,76 @@ struct LuReference {
     std::vector<core::BlockStatus> status;
     /// Per-row inverse diagonal of fell-back / singular blocks.
     std::vector<T> inv_diag;
+    /// The layout's row list (empty = contiguous blocks).
+    std::vector<index_type> rows;
+
+    /// Matrix row of block position q.
+    std::size_t row(std::size_t q) const {
+        return rows.empty() ? q : static_cast<std::size_t>(rows[q]);
+    }
 
     void apply(std::span<const T> r, std::span<T> z) const {
         const auto& layout = factors.layout();
+        std::vector<T> zb;
         for (size_type b = 0; b < layout.count(); ++b) {
             const auto off = static_cast<std::size_t>(layout.row_offset(b));
             const auto m = static_cast<std::size_t>(layout.size(b));
-            const std::span<T> zb = z.subspan(off, m);
+            zb.assign(m, T{});
             const auto s = status[static_cast<std::size_t>(b)];
-            for (std::size_t i = 0; i < m; ++i) {
-                zb[i] = r[off + i];
-            }
             if (s == core::BlockStatus::fell_back ||
                 s == core::BlockStatus::singular) {
                 for (std::size_t i = 0; i < m; ++i) {
-                    zb[i] = r[off + i] * inv_diag[off + i];
+                    zb[i] = r[row(off + i)] * inv_diag[off + i];
                 }
             } else {
-                core::getrs_single(factors.view(b), pivots.span(b), zb);
+                for (std::size_t i = 0; i < m; ++i) {
+                    zb[i] = r[row(off + i)];
+                }
+                core::getrs_single(factors.view(b), pivots.span(b),
+                                   std::span<T>(zb));
+            }
+            for (std::size_t i = 0; i < m; ++i) {
+                z[row(off + i)] = zb[i];
             }
         }
     }
 };
 
-/// Factorize the diagonal blocks of `a` under `layout` the way the lu
+/// The diagonal blocks of `a` under (layout, rows): extract_diagonal_blocks
+/// for a contiguous layout, entry-by-entry Csr::at lookups for a row list.
+template <typename T>
+core::BatchedMatrices<T> reference_blocks(const sparse::Csr<T>& a,
+                                          const core::BatchLayoutPtr& layout,
+                                          std::span<const index_type> rows) {
+    if (rows.empty()) {
+        return blocking::extract_diagonal_blocks(a, layout);
+    }
+    core::BatchedMatrices<T> blocks(layout);
+    for (size_type b = 0; b < layout->count(); ++b) {
+        const auto off = static_cast<std::size_t>(layout->row_offset(b));
+        auto v = blocks.view(b);
+        for (index_type j = 0; j < v.cols(); ++j) {
+            for (index_type i = 0; i < v.rows(); ++i) {
+                v(i, j) = a.at(rows[off + static_cast<std::size_t>(i)],
+                               rows[off + static_cast<std::size_t>(j)]);
+            }
+        }
+    }
+    return blocks;
+}
+
+/// Factorize the diagonal blocks of `a` under `layout` (and its row
+/// list, when non-empty) the way the lu
 /// backends must, with the scalar kernels and a RecoveryPolicy of
 /// Mode::full (the default) -- the chain that never throws.
 template <typename T>
 LuReference<T> lu_reference(const sparse::Csr<T>& a,
-                            const core::BatchLayoutPtr& layout) {
+                            const core::BatchLayoutPtr& layout,
+                            std::span<const index_type> rows = {}) {
     const precond::RecoveryPolicy policy;
-    const auto pristine = blocking::extract_diagonal_blocks(a, layout);
+    const auto pristine = reference_blocks(a, layout, rows);
     LuReference<T> ref{pristine.clone(), core::BatchedPivots(layout), {},
-                       {}};
+                       {}, std::vector<index_type>(rows.begin(), rows.end())};
     const size_type nb = layout->count();
     ref.status.assign(static_cast<std::size_t>(nb), core::BlockStatus::ok);
     const double eps = static_cast<double>(std::numeric_limits<T>::epsilon());

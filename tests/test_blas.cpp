@@ -24,7 +24,6 @@ TEST(Blas1, AxpyDotNrm2) {
                      14.0);
     EXPECT_DOUBLE_EQ(blas::nrm2(std::span<const double>(x)),
                      std::sqrt(14.0));
-    EXPECT_DOUBLE_EQ(blas::asum(std::span<const double>(x)), 6.0);
 }
 
 TEST(Blas1, ScalCopyFill) {
@@ -34,14 +33,6 @@ TEST(Blas1, ScalCopyFill) {
     std::vector<double> y(3);
     blas::copy(std::span<const double>(x), std::span<double>(y));
     EXPECT_EQ(y[2], -6.0);
-    blas::fill(std::span<double>(y), 0.0);
-    EXPECT_EQ(y[0], 0.0);
-}
-
-TEST(Blas1, IamaxPicksFirstLargest) {
-    std::vector<double> x{1.0, -5.0, 5.0, 2.0};
-    EXPECT_EQ(blas::iamax(std::span<const double>(x)), 1);
-    EXPECT_EQ(blas::iamax(std::span<const double>{}), -1);
 }
 
 TEST(Blas1, DimensionMismatchThrows) {

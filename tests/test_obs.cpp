@@ -398,9 +398,6 @@ TEST(ByteModels, Blas1StreamCounts) {
     constexpr size_type n = 1000;
     const double v = static_cast<double>(n) * sizeof(double);
     EXPECT_DOUBLE_EQ(core::axpy_bytes<double>(n), 3.0 * v);
-    EXPECT_DOUBLE_EQ(core::dot_bytes<double>(n), 2.0 * v);
-    EXPECT_DOUBLE_EQ(core::nrm2_bytes<double>(n), v);
-    EXPECT_DOUBLE_EQ(core::copy_bytes<double>(n), 2.0 * v);
 }
 
 // ---------------------------------------------------------------------

@@ -122,7 +122,8 @@ TEST(BlockJacobi, SimdBackendMatchesScalarLuBitwise) {
     }
     for (const auto& opts : lu_family_options()) {
         const BlockJacobi<double> prec(a, opts);
-        const auto ref = reference::lu_reference(a, prec.symbolic()->layout);
+        const auto ref = reference::lu_reference(a, prec.symbolic()->layout,
+                                                 prec.symbolic()->rows);
         EXPECT_TRUE(reference::matches_lu_reference(
             prec, ref, std::span<const double>(r)))
             << prec.name();
@@ -220,6 +221,102 @@ TEST(BlockJacobi, EdgeLayoutsMatchScalarReferenceBitwise) {
         EXPECT_EQ(prec.recovery_summary().boosted, 1) << prec.name();
         EXPECT_EQ(prec.recovery_summary().fell_back, 1) << prec.name();
         EXPECT_EQ(prec.recovery_summary().singular, 1) << prec.name();
+    }
+}
+
+// A strength-aggregated layout: every block owns a row list, so the
+// gather plan, the lane gather/scatter of apply and the fallback apply
+// all index through it. On every ISA the result equals the scalar
+// kernels run on the same row sets, also after recovery degrades two
+// blocks (adopting the symbolic, since the degraded values would choose
+// another layout).
+TEST(BlockJacobi, RowListLayoutMatchesScalarReferenceBitwise) {
+    const auto a = sparse::anisotropic_2d<double>(20, 20, 100.0, 2, 11);
+    const auto n = static_cast<std::size_t>(a.num_rows());
+    std::vector<double> r(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        r[i] = 1.0 + std::sin(0.37 * static_cast<double>(i));
+    }
+    for (auto opts : lu_family_options()) {
+        opts.max_block_size = 16;
+        const BlockJacobi<double> prec(a, opts);
+        const auto& sym = *prec.symbolic();
+        ASSERT_EQ(sym.rows.size(), n) << prec.name();
+        EXPECT_TRUE(reference::matches_lu_reference(
+            prec, reference::lu_reference(a, sym.layout, sym.rows),
+            std::span<const double>(r)))
+            << prec.name();
+
+        // Block 1 all zero (singular, identity apply), block 4 with a NaN
+        // off its diagonal (scalar-Jacobi fallback).
+        auto broken = a;
+        std::vector<double> vals(a.values().begin(), a.values().end());
+        const auto poison = [&](size_type b, bool nan) {
+            const auto off = static_cast<std::size_t>(sym.layout->row_offset(b));
+            const auto m = static_cast<std::size_t>(sym.layout->size(b));
+            const auto first = sym.rows.begin() + static_cast<std::ptrdiff_t>(off);
+            const auto last = first + static_cast<std::ptrdiff_t>(m);
+            for (std::size_t i = 0; i < m; ++i) {
+                const auto row = static_cast<std::size_t>(sym.rows[off + i]);
+                for (auto e = a.row_ptrs()[row]; e < a.row_ptrs()[row + 1];
+                     ++e) {
+                    const auto c = a.col_idxs()[static_cast<std::size_t>(e)];
+                    if (std::find(first, last, c) == last) {
+                        continue;
+                    }
+                    if (!nan) {
+                        vals[static_cast<std::size_t>(e)] = 0.0;
+                    } else if (c != static_cast<index_type>(row)) {
+                        vals[static_cast<std::size_t>(e)] =
+                            std::numeric_limits<double>::quiet_NaN();
+                        return;
+                    }
+                }
+            }
+        };
+        poison(1, false);
+        poison(4, true);
+        broken.set_values(std::span<const double>(vals));
+        auto adopt = opts;
+        adopt.symbolic = prec.symbolic();
+        const BlockJacobi<double> degraded(broken, adopt);
+        EXPECT_EQ(degraded.recovery_summary().singular, 1) << prec.name();
+        EXPECT_EQ(degraded.recovery_summary().fell_back, 1) << prec.name();
+        EXPECT_TRUE(reference::matches_lu_reference(
+            degraded, reference::lu_reference(broken, sym.layout, sym.rows),
+            std::span<const double>(r)))
+            << prec.name();
+    }
+}
+
+// The scalar-path backends solve a row-list block in a local copy; their
+// application agrees with the LU one to rounding.
+TEST(BlockJacobi, RowListLayoutScalarBackendsAgreeWithLu) {
+    const auto a = sparse::anisotropic_2d<double>(40, 40, 100.0, 1, 13);
+    const auto n = static_cast<std::size_t>(a.num_rows());
+    std::vector<double> r(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        r[i] = std::cos(0.21 * static_cast<double>(i));
+    }
+    BlockJacobiOptions lu;
+    lu.backend = BlockJacobiBackend::lu;
+    const BlockJacobi<double> ref(a, lu);
+    ASSERT_FALSE(ref.symbolic()->rows.empty());
+    std::vector<double> want(n);
+    ref.apply(std::span<const double>(r), std::span<double>(want));
+    for (const auto backend :
+         {BlockJacobiBackend::gauss_huard, BlockJacobiBackend::gauss_huard_t,
+          BlockJacobiBackend::gje_inversion, BlockJacobiBackend::cholesky}) {
+        BlockJacobiOptions opts;
+        opts.backend = backend;
+        const BlockJacobi<double> prec(a, opts);
+        EXPECT_EQ(prec.symbolic()->rows, ref.symbolic()->rows);
+        std::vector<double> got(n);
+        prec.apply(std::span<const double>(r), std::span<double>(got));
+        for (std::size_t i = 0; i < n; ++i) {
+            EXPECT_NEAR(got[i], want[i], 1e-12 * (1.0 + std::abs(want[i])))
+                << prec.name() << " row " << i;
+        }
     }
 }
 

@@ -119,6 +119,72 @@ TEST(PlanCache, DifferentBlockBoundIsADifferentPlan) {
     EXPECT_EQ(engine.stats().cache.builds, 2u);
 }
 
+TEST(PlanCache, LayoutChoiceJoinsTheKey) {
+    // One pattern, two value sets: the anisotropic values choose an
+    // aggregated layout, the isotropic ones the supervariable layout, so
+    // the pattern gets two plans; equal-valued anisotropic tenants share
+    // one, whatever order they arrive in.
+    Engine engine;
+    const auto aniso = sparse::anisotropic_2d<double>(30, 30, 100.0, 1, 5);
+    const auto iso = sparse::anisotropic_2d<double>(30, 30, 1.0, 1, 5);
+    ASSERT_EQ(aniso.pattern_hash(), iso.pattern_hash());
+    auto opts = lu_session();
+    opts.precond.max_block_size = 32;
+    const auto key_aniso = PlanCache::key_for(aniso, opts.precond);
+    const auto key_iso = PlanCache::key_for(iso, opts.precond);
+    EXPECT_NE(key_aniso.layout_hash, 0u);
+    EXPECT_EQ(key_iso.layout_hash, 0u);
+
+    auto s1 = engine.open_session(aniso, opts);
+    auto s2 = engine.open_session(iso, opts);
+    auto s3 = engine.open_session(aniso, opts);
+    const auto stats = engine.stats();
+    EXPECT_EQ(stats.cache.builds, 2u);
+    EXPECT_EQ(stats.cache.reuses, 1u);
+    const auto symbolic = [](const SessionPtr<double>& s) {
+        return dynamic_cast<const precond::BlockJacobi<double>&>(
+                   s->preconditioner())
+            .symbolic();
+    };
+    EXPECT_EQ(symbolic(s1).get(), symbolic(s3).get());
+    EXPECT_NE(symbolic(s1).get(), symbolic(s2).get());
+    EXPECT_FALSE(symbolic(s1)->rows.empty());
+    EXPECT_TRUE(symbolic(s2)->rows.empty());
+
+    // Refresh keeps the symbolic: the isotropic session stays on the
+    // supervariable layout after taking anisotropic values.
+    const auto before = symbolic(s2);
+    s2->update_values(std::vector<double>(aniso.values().begin(),
+                                          aniso.values().end()));
+    EXPECT_EQ(symbolic(s2).get(), before.get());
+    std::vector<double> b(static_cast<std::size_t>(aniso.num_rows()), 1.0);
+    std::vector<double> x(b.size(), 0.0);
+    EXPECT_TRUE(s2->solve(b, x).result.converged());
+}
+
+TEST(PlanCache, FixedLayoutKeysApartFromTheRule) {
+    // A layout fixed through config.layout files its plan under its own
+    // key, so it never stands in for the rule's supervariable layout.
+    Engine engine;
+    const auto a = test_matrix();
+    auto s1 = engine.open_session(a, lu_session());
+    auto fixed = lu_session();
+    fixed.precond.layout = core::make_layout(
+        std::vector<index_type>(static_cast<std::size_t>(a.num_rows()), 1));
+    EXPECT_NE(PlanCache::key_for(a, fixed.precond).layout_hash, 0u);
+    auto s2 = engine.open_session(a, fixed);
+    auto s3 = engine.open_session(a, lu_session());
+    EXPECT_EQ(engine.stats().cache.builds, 2u);
+    EXPECT_EQ(engine.stats().cache.reuses, 1u);
+    const auto layout = [](const SessionPtr<double>& s) {
+        return &dynamic_cast<const precond::BlockJacobi<double>&>(
+                    s->preconditioner())
+                    .layout();
+    };
+    EXPECT_EQ(layout(s1), layout(s3));
+    EXPECT_EQ(layout(s2)->count(), a.num_rows());
+}
+
 TEST(PlanCache, ScalarBackendsShareOneSymbolic) {
     // The scalar-path symbolic (no lane groups) is backend-independent,
     // so "gh" and "gh-t" tenants over one pattern share a single plan;

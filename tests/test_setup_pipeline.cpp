@@ -154,10 +154,10 @@ TEST_P(RefreshBackends, RefreshEqualsFreshSetupBitwise) {
     prec.refresh(b);
     EXPECT_GT(prec.refresh_seconds(), 0.0);
 
-    // Same layout so the comparison sees identical block partitions.
+    // Refresh keeps the symbolic (layout included), so the fresh setup
+    // adopts it: "refresh == setup" means "same symbolic".
     BlockJacobiOptions fresh_opts = opts;
-    fresh_opts.layout = std::make_shared<const core::BatchLayout>(
-        prec.layout());
+    fresh_opts.symbolic = prec.symbolic();
     const BlockJacobi<double> fresh(b, fresh_opts);
     expect_same_factors(prec, fresh);
 }
@@ -211,7 +211,8 @@ TEST(Refresh, SimdMatchesScalarAfterRefresh) {
         opts.max_block_size = 12;
         BlockJacobi<double> prec(a, opts);
         prec.refresh(b);
-        const auto ref = reference::lu_reference(b, prec.symbolic()->layout);
+        const auto ref = reference::lu_reference(b, prec.symbolic()->layout,
+                                                 prec.symbolic()->rows);
         EXPECT_TRUE(reference::matches_lu_reference(
             prec, ref, std::span<const double>(r)))
             << prec.name();
@@ -230,8 +231,7 @@ TEST(Refresh, FloatBackendBitwise) {
     prec.refresh(b);
 
     BlockJacobiOptions fresh_opts = opts;
-    fresh_opts.layout =
-        std::make_shared<const core::BatchLayout>(prec.layout());
+    fresh_opts.symbolic = prec.symbolic();
     const BlockJacobi<float> fresh(b, fresh_opts);
     expect_same_factors(prec, fresh);
 }

@@ -110,7 +110,8 @@ void check_recovery_counters(const std::string& path,
 
 // Schema v2 roofline accounting: every traffic family must carry the
 // raw totals and all four derived rates, so downstream tooling
-// (vbatch_prof, plots) never has to re-derive them.
+// (vbatch_prof, plots) never has to re-derive them. roof_gbs and
+// fraction_of_roof are null when no roof was measured (unknown, not 0).
 void check_traffic(const std::string& path, const JsonValue& traffic) {
     for (const auto& [family, stats] : traffic.members) {
         if (!stats.is_object()) {
@@ -119,10 +120,18 @@ void check_traffic(const std::string& path, const JsonValue& traffic) {
             continue;
         }
         for (const char* key :
-             {"flops", "bytes", "seconds", "calls", "problems", "roof_gbs",
-              "gflops", "bandwidth_gbs", "arithmetic_intensity",
-              "fraction_of_roof"}) {
+             {"flops", "bytes", "seconds", "calls", "problems", "gflops",
+              "bandwidth_gbs", "arithmetic_intensity"}) {
             require(path, stats, key, JsonValue::Type::number);
+        }
+        for (const char* key : {"roof_gbs", "fraction_of_roof"}) {
+            const JsonValue* v = stats.find(key);
+            if (v == nullptr) {
+                fail(path, std::string("missing key \"") + key + "\"");
+            } else if (!v->is_number() && !v->is_null()) {
+                fail(path, std::string("key \"") + key +
+                               "\" has the wrong type");
+            }
         }
     }
 }
