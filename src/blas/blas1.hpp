@@ -14,6 +14,7 @@
 // comparison oracle).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstddef>
@@ -37,47 +38,34 @@ inline std::size_t num_chunks(std::size_t n) noexcept {
     return n == 0 ? 0 : (n - 1) / blas1_chunk + 1;
 }
 
-/// Run f(lo, hi) over the fixed chunk decomposition of [0, n), in
-/// parallel when there is more than one chunk. f must only write state
-/// owned by its chunk.
-template <typename F>
-void for_chunks(std::size_t n, F&& f) {
-    const std::size_t nc = num_chunks(n);
+}  // namespace detail
+
+/// Deterministic chunked sweep with `count` reductions riding along:
+/// f(lo, hi, part) processes the chunk [lo, hi) and writes its `count`
+/// partials to part[0, count); out[j] is the sum of slot j's partials,
+/// combined with += in ascending chunk order. A vector of one chunk
+/// writes straight into out, i.e. the plain serial loop. The combination
+/// order is part of the numerical contract -- do not "optimize" it into
+/// a tree. count = 0 is a plain parallel sweep. Up to 512 partials
+/// (chunks x count) live on the stack, so a solver sweep over fewer than
+/// about 100 chunks never allocates.
+template <typename T, typename F>
+void sweep_chunks(std::size_t n, std::size_t count, T* out, F&& f) {
+    const std::size_t nc = detail::num_chunks(n);
     if (nc <= 1) {
-        if (n != 0) {
-            f(std::size_t{0}, n);
+        if (nc == 1) {
+            f(std::size_t{0}, n, out);
+        } else {
+            std::fill(out, out + count, T{});
         }
         return;
     }
-    ThreadPool::global().parallel_for(
-        0, static_cast<size_type>(nc),
-        [&](size_type c) {
-            const std::size_t lo = static_cast<std::size_t>(c) *
-                                   blas1_chunk;
-            f(lo, std::min(lo + blas1_chunk, n));
-        },
-        1);
-}
-
-/// Deterministic chunked reduction: f(lo, hi) returns the partial of one
-/// chunk; partials are combined with += in ascending chunk order. The
-/// combination order is part of the numerical contract -- do not
-/// "optimize" it into a tree.
-template <typename Partial, typename F>
-Partial reduce_chunks(std::size_t n, F&& f) {
-    const std::size_t nc = num_chunks(n);
-    if (nc == 0) {
-        return Partial{};
-    }
-    if (nc == 1) {
-        return f(std::size_t{0}, n);
-    }
-    constexpr std::size_t stack_chunks = 64;
-    std::array<Partial, stack_chunks> stack{};
-    std::vector<Partial> heap;
-    Partial* parts = stack.data();
-    if (nc > stack_chunks) {
-        heap.resize(nc);
+    constexpr std::size_t stack_parts = 512;
+    std::array<T, stack_parts> stack;
+    std::vector<T> heap;
+    T* parts = stack.data();
+    if (nc * count > stack_parts) {
+        heap.resize(nc * count);
         parts = heap.data();
     }
     ThreadPool::global().parallel_for(
@@ -85,27 +73,42 @@ Partial reduce_chunks(std::size_t n, F&& f) {
         [&](size_type c) {
             const std::size_t lo = static_cast<std::size_t>(c) *
                                    blas1_chunk;
-            parts[c] = f(lo, std::min(lo + blas1_chunk, n));
+            f(lo, std::min(lo + blas1_chunk, n),
+              parts + static_cast<std::size_t>(c) * count);
         },
         1);
-    Partial acc = parts[0];
-    for (std::size_t c = 1; c < nc; ++c) {
-        acc += parts[c];
+    for (std::size_t j = 0; j < count; ++j) {
+        T acc = parts[j];
+        for (std::size_t c = 1; c < nc; ++c) {
+            acc += parts[c * count + j];
+        }
+        out[j] = acc;
     }
-    return acc;
 }
 
-/// Two independent accumulators reduced in one sweep (fused dot pairs).
-template <typename T>
-struct Partial2 {
-    T a{};
-    T b{};
-    Partial2& operator+=(const Partial2& o) noexcept {
-        a += o.a;
-        b += o.b;
-        return *this;
-    }
-};
+namespace detail {
+
+/// Run f(lo, hi) over the fixed chunk decomposition of [0, n), in
+/// parallel when there is more than one chunk. f must only write state
+/// owned by its chunk.
+template <typename F>
+void for_chunks(std::size_t n, F&& f) {
+    sweep_chunks<char>(n, 0, nullptr,
+                       [&](std::size_t lo, std::size_t hi, char*) {
+                           f(lo, hi);
+                       });
+}
+
+/// One reduction: f(lo, hi) returns the partial of one chunk.
+template <typename T, typename F>
+T reduce_chunks(std::size_t n, F&& f) {
+    T out{};
+    sweep_chunks(n, 1, &out,
+                 [&](std::size_t lo, std::size_t hi, T* part) {
+                     *part = f(lo, hi);
+                 });
+    return out;
+}
 
 }  // namespace detail
 

@@ -778,8 +778,6 @@ void BlockJacobi<T>::apply(std::span<const T> r, std::span<T> z) const {
         break;
     }
     obs::TraceRegion solve_trace(solve_kind);
-    obs::count("block_jacobi.applies");
-    obs::count("block_jacobi.apply.bytes_moved", apply_bytes_);
     if (sym_->lane_path) {
         apply_lanes(r, z);
         return;

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 
 #include "solvers/idr.hpp"
@@ -54,8 +55,12 @@ struct Config {
 
 /// Solver handle: solve A x = b with the knobs baked in at make_solver
 /// time. x holds the initial guess on entry and the solution on exit.
-/// Immutable after construction, so one instance may be shared by
-/// concurrent solves on distinct vectors.
+/// The options are immutable after construction, and the IDR workspace
+/// (shadow space, bases, vectors) is kept for the next solve, so a
+/// repeated solve of one size allocates nothing and reuses P. One
+/// instance may be shared by concurrent solves on distinct vectors: the
+/// workspace is taken with a try-lock, and a solve that finds it busy
+/// runs in a workspace of its own, with bitwise the same result.
 template <typename T>
 class Solver {
 public:
@@ -63,11 +68,18 @@ public:
     SolveResult solve(const sparse::Csr<T>& a, std::span<const T> b,
                       std::span<T> x,
                       const precond::Preconditioner<T>& prec) const {
-        return idr(a, b, x, prec, opts_);
+        std::unique_lock<std::mutex> lock(workspace_mutex_,
+                                          std::try_to_lock);
+        if (!lock.owns_lock()) {
+            return idr(a, b, x, prec, opts_);
+        }
+        return idr(a, b, x, prec, opts_, workspace_);
     }
 
 private:
     IdrOptions opts_;
+    mutable std::mutex workspace_mutex_;
+    mutable IdrWorkspace<T> workspace_;
 };
 
 template <typename T>

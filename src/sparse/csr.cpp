@@ -5,7 +5,6 @@
 
 #include "base/macros.hpp"
 #include "base/thread_pool.hpp"
-#include "obs/metrics.hpp"
 
 namespace vbatch::sparse {
 
@@ -167,18 +166,6 @@ void Csr<T>::spmv(T alpha, std::span<const T> x, T beta,
                   std::span<T> y) const {
     VBATCH_ENSURE_DIMS(static_cast<index_type>(x.size()) == num_cols_);
     VBATCH_ENSURE_DIMS(static_cast<index_type>(y.size()) == num_rows_);
-    {
-        auto& registry = obs::Registry::global();
-        registry.add("spmv.launches", 1.0);
-        registry.add(
-            "spmv.bytes_moved",
-            static_cast<double>(
-                nnz() * (sizeof(T) + sizeof(index_type)) +
-                row_ptrs_.size() * sizeof(size_type) +
-                (static_cast<std::size_t>(num_rows_) +
-                 static_cast<std::size_t>(num_cols_)) *
-                    sizeof(T)));
-    }
     // Each iteration is one nnz-balanced part; every row is still summed
     // serially left-to-right, so y is bitwise independent of the partition
     // (and therefore of the thread count). The y := A x case runs its own

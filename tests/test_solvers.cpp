@@ -2,15 +2,22 @@
 #include "base/exception.hpp"
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <random>
+#include <thread>
 #include <vector>
 
 #include "blas/blas1.hpp"
 #include "precond/block_jacobi.hpp"
 #include "precond/preconditioner.hpp"
 #include "precond/scalar_jacobi.hpp"
+#include "solvers/config.hpp"
 #include "solvers/idr.hpp"
 #include "sparse/generators.hpp"
+#include "sparse/suite.hpp"
+#include "idr_reference.hpp"
 
 namespace vbatch::solvers {
 namespace {
@@ -253,6 +260,233 @@ TEST(Solvers, DimensionChecks) {
     EXPECT_THROW(idr(a, std::span<const double>(b), std::span<double>(x),
                      prec),
                  DimensionMismatch);
+}
+
+// ---------------------------------------------------------------------
+// Bitwise oracle: the fused, workspace-resident solve against the
+// unfused reference (tests/idr_reference.hpp)
+// ---------------------------------------------------------------------
+
+struct OracleCase {
+    const char* name;
+    sparse::Csr<double> a;
+};
+
+/// The service benchmark's small tenant (309 rows).
+sparse::Csr<double> small_tenant() {
+    return sparse::fem_block_matrix<double>(64, 2, 8, 2, 0.25, 101);
+}
+
+/// The suite cases span one, two and five BLAS-1 chunks (7225, 10816 and
+/// 40000 rows); the last is the service benchmark's small tenant.
+std::vector<OracleCase> oracle_cases() {
+    std::vector<OracleCase> cases;
+    for (const char* name :
+         {"convdiff_p10_d1", "hard_conv_shift", "circuit_l"}) {
+        cases.push_back({name, sparse::build_suite_matrix(
+                                   sparse::suite_case_by_name(name))});
+    }
+    cases.push_back({"small_tenant", small_tenant()});
+    return cases;
+}
+
+std::vector<double> oracle_vector(std::size_t n, std::uint64_t seed) {
+    std::mt19937_64 eng(seed);
+    std::uniform_real_distribution<double> dist(-1.0, 1.0);
+    std::vector<double> v(n);
+    for (auto& e : v) {
+        e = dist(eng);
+    }
+    return v;
+}
+
+/// The block-Jacobi configuration of the benchmark's solves.
+precond::BlockJacobiOptions oracle_precond() {
+    precond::BlockJacobiOptions popts;
+    popts.backend = precond::BlockJacobiBackend::lu_simd;
+    popts.max_block_size = 32;
+    return popts;
+}
+
+IdrOptions oracle_options(index_type s, bool smoothing) {
+    IdrOptions opts;
+    opts.s = s;
+    opts.smoothing = smoothing;
+    opts.max_iters = 300;
+    opts.keep_residual_history = true;
+    return opts;
+}
+
+/// Solve with `solve` from x0 and compare everything against the
+/// reference run from the same x0.
+template <typename Solve>
+void expect_matches_reference(const sparse::Csr<double>& a,
+                              const precond::Preconditioner<double>& prec,
+                              const std::vector<double>& b,
+                              const std::vector<double>& x0,
+                              const IdrOptions& opts, Solve&& solve) {
+    std::vector<double> x_ref = x0;
+    const auto want = reference::idr_reference<double>(
+        a, std::span<const double>(b), std::span<double>(x_ref), prec, opts);
+    std::vector<double> x = x0;
+    const SolveResult got = solve(std::span<double>(x));
+    EXPECT_EQ(got.iterations, want.iterations);
+    EXPECT_EQ(got.status, want.status);
+    const auto same = [](double lhs, double rhs) {
+        return std::bit_cast<std::uint64_t>(lhs) ==
+               std::bit_cast<std::uint64_t>(rhs);
+    };
+    EXPECT_TRUE(same(got.initial_residual, want.initial_residual));
+    EXPECT_TRUE(same(got.final_residual, want.final_residual))
+        << got.final_residual << " vs " << want.final_residual;
+    EXPECT_TRUE(reference::same_bits<double>(got.residual_history,
+                                             want.residual_history));
+    EXPECT_TRUE(reference::same_bits<double>(x, x_ref));
+}
+
+TEST(IdrOracle, MatchesUnfusedReferenceBitwise) {
+    for (const auto& c : oracle_cases()) {
+        const precond::BlockJacobi<double> prec(c.a, oracle_precond());
+        const auto nz = static_cast<std::size_t>(c.a.num_rows());
+        const auto b = oracle_vector(nz, 11);
+        const std::vector<double> x0(nz, 0.0);
+        for (const index_type s : {1, 2, 4}) {
+            for (const bool smoothing : {false, true}) {
+                SCOPED_TRACE(std::string(c.name) + " s=" +
+                             std::to_string(s) +
+                             (smoothing ? " smoothing" : ""));
+                const auto opts = oracle_options(s, smoothing);
+                expect_matches_reference(
+                    c.a, prec, b, x0, opts, [&](std::span<double> x) {
+                        return idr(c.a, std::span<const double>(b), x, prec,
+                                   opts);
+                    });
+            }
+        }
+    }
+}
+
+TEST(IdrOracle, NonzeroInitialGuessAndMidCycleStop) {
+    // A nonzero x0, and budgets that stop inside the first, second and a
+    // later cycle (IDR(4) cycles are 5 iterations long).
+    for (const auto& c : oracle_cases()) {
+        const precond::BlockJacobi<double> prec(c.a, oracle_precond());
+        const auto nz = static_cast<std::size_t>(c.a.num_rows());
+        const auto b = oracle_vector(nz, 12);
+        const auto x0 = oracle_vector(nz, 13);
+        for (const index_type max_iters : {3, 7, 300}) {
+            SCOPED_TRACE(std::string(c.name) +
+                         " max_iters=" + std::to_string(max_iters));
+            auto opts = oracle_options(4, false);
+            opts.max_iters = max_iters;
+            expect_matches_reference(
+                c.a, prec, b, x0, opts, [&](std::span<double> x) {
+                    return idr(c.a, std::span<const double>(b), x, prec,
+                               opts);
+                });
+        }
+    }
+}
+
+TEST(IdrOracle, WarmSolvesOnOneSolver) {
+    // One Solver keeps its workspace across solves: the same size again,
+    // another size (P is rebuilt), and back.
+    const auto cases = oracle_cases();
+    Config config;
+    config.max_iters = 300;
+    config.idr_smoothing = true;
+    config.keep_residual_history = true;
+    const auto solver = make_solver<double>(config);
+    for (const std::size_t i : {0, 0, 3, 3, 0}) {
+        const auto& c = cases[i];
+        SCOPED_TRACE(c.name);
+        const precond::BlockJacobi<double> prec(c.a, oracle_precond());
+        const auto nz = static_cast<std::size_t>(c.a.num_rows());
+        const auto b = oracle_vector(nz, 20 + i);
+        expect_matches_reference(
+            c.a, prec, b, std::vector<double>(nz, 0.0),
+            config.idr_options(), [&](std::span<double> x) {
+                return solver->solve(c.a, std::span<const double>(b), x,
+                                     prec);
+            });
+    }
+    // One workspace through budget-stopped solves that leave G, U and M
+    // mid-cycle, a change of s, a change of seed and a change of size.
+    IdrWorkspace<double> ws;
+    struct Step {
+        std::size_t matrix;
+        index_type s;
+        index_type max_iters;
+        std::uint64_t seed;
+    };
+    for (const Step step : {Step{3, 4, 300, 7}, Step{3, 4, 6, 7},
+                            Step{3, 4, 300, 7}, Step{3, 2, 300, 7},
+                            Step{3, 4, 300, 9}, Step{0, 4, 7, 7},
+                            Step{3, 4, 300, 7}}) {
+        const auto& c = cases[step.matrix];
+        SCOPED_TRACE(std::string(c.name) + " s=" + std::to_string(step.s) +
+                     " max_iters=" + std::to_string(step.max_iters) +
+                     " seed=" + std::to_string(step.seed));
+        const precond::BlockJacobi<double> prec(c.a, oracle_precond());
+        const auto nz = static_cast<std::size_t>(c.a.num_rows());
+        const auto b = oracle_vector(nz, 30 + step.matrix);
+        auto opts = oracle_options(step.s, false);
+        opts.max_iters = step.max_iters;
+        opts.shadow_seed = step.seed;
+        expect_matches_reference(
+            c.a, prec, b, std::vector<double>(nz, 0.0), opts,
+            [&](std::span<double> x) {
+                return idr(c.a, std::span<const double>(b), x, prec, opts,
+                           ws);
+            });
+    }
+}
+
+TEST(IdrOracle, ThreadsSharingOneSolver) {
+    // Concurrent solves on one Solver: whoever misses the workspace lock
+    // runs in a call-local workspace; every solve still matches the
+    // reference bitwise. (BlockJacobi::apply stages data in the
+    // preconditioner, so each thread applies its own.)
+    const auto a = small_tenant();
+    const precond::BlockJacobi<double> prec(a, oracle_precond());
+    const precond::BlockJacobi<double> prec2(a, oracle_precond());
+    const auto nz = static_cast<std::size_t>(a.num_rows());
+    const Config config;
+    const auto solver = make_solver<double>(config);
+    const auto opts = config.idr_options();
+    std::vector<std::vector<double>> rhs;
+    std::vector<std::vector<double>> expected;
+    std::vector<index_type> expected_iters;
+    for (std::uint64_t seed = 0; seed < 2; ++seed) {
+        rhs.push_back(oracle_vector(nz, 40 + seed));
+        std::vector<double> x(nz, 0.0);
+        expected_iters.push_back(
+            reference::idr_reference<double>(
+                a, std::span<const double>(rhs.back()),
+                std::span<double>(x), prec, opts)
+                .iterations);
+        expected.push_back(std::move(x));
+    }
+    std::vector<int> mismatches(2, 0);
+    std::vector<std::thread> threads;
+    for (std::size_t tid = 0; tid < 2; ++tid) {
+        threads.emplace_back([&, tid] {
+            for (int rep = 0; rep < 200; ++rep) {
+                std::vector<double> x(nz, 0.0);
+                const auto got = solver->solve(
+                    a, std::span<const double>(rhs[tid]),
+                    std::span<double>(x), tid == 0 ? prec : prec2);
+                if (got.iterations != expected_iters[tid] ||
+                    !reference::same_bits<double>(x, expected[tid])) {
+                    ++mismatches[tid];
+                }
+            }
+        });
+    }
+    for (auto& t : threads) {
+        t.join();
+    }
+    EXPECT_EQ(mismatches, std::vector<int>(2, 0));
 }
 
 }  // namespace
